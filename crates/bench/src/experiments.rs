@@ -2071,6 +2071,19 @@ pub fn run_fanout(config: &FanoutConfig) -> Vec<FanoutRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Runs this module's experiment tests one at a time. Most of them gate
+    /// a wall-clock ratio (E8/E9 speedups, E10 open vs build time, E11
+    /// group vs immediate qps, E14 replica speedup, E16 p50/p99), which
+    /// measures the code under test only when no sibling test competes for
+    /// the same cores. The untimed ones take it too, because they would
+    /// compete.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn tiny_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -2086,6 +2099,7 @@ mod tests {
 
     #[test]
     fn comparison_rows_have_the_paper_shape() {
+        let _serial = serial();
         let rows = run_comparison(&tiny_config());
         assert_eq!(rows.len(), 4); // 2 distributions x 2 cardinalities
         for row in &rows {
@@ -2107,6 +2121,7 @@ mod tests {
 
     #[test]
     fn scan_ablation_shows_the_xbtree_advantage() {
+        let _serial = serial();
         let mut config = tiny_config();
         config.cardinalities = vec![3_000];
         let rows = run_ablation_scan(&config);
@@ -2116,6 +2131,7 @@ mod tests {
 
     #[test]
     fn update_ablation_orders_the_trees_by_fanout() {
+        let _serial = serial();
         let mut config = tiny_config();
         config.cardinalities = vec![3_000];
         let rows = run_ablation_updates(&config, 50);
@@ -2131,6 +2147,7 @@ mod tests {
     /// even on a single hardware core.
     #[test]
     fn throughput_scales_with_threads() {
+        let _serial = serial();
         let config = ThroughputConfig {
             cardinality: 3_000,
             thread_counts: vec![1, 4],
@@ -2164,6 +2181,7 @@ mod tests {
     /// spanning query must still verify across every layout.
     #[test]
     fn sharded_throughput_write_mix_scales_with_shards() {
+        let _serial = serial();
         let config = ShardedThroughputConfig {
             cardinality: 2_000,
             shard_counts: vec![1, 4],
@@ -2198,6 +2216,7 @@ mod tests {
     /// that recovery does not rebuild from the dataset.
     #[test]
     fn durability_sweep_reopens_fast_and_verified() {
+        let _serial = serial();
         let dir = tempfile::tempdir().unwrap();
         let config = DurabilityConfig {
             cardinality: 2_000,
@@ -2229,6 +2248,7 @@ mod tests {
     /// must survive the close/reopen with verified digests.
     #[test]
     fn group_commit_sweep_batches_and_stays_crash_consistent() {
+        let _serial = serial();
         let dir = tempfile::tempdir().unwrap();
         let config = GroupCommitConfig {
             cardinality: 2_000,
@@ -2271,6 +2291,7 @@ mod tests {
     /// routed around on every row and zero unverified responses.
     #[test]
     fn replicas_scale_reads_and_route_around_byzantine_and_stale() {
+        let _serial = serial();
         let dir = tempfile::tempdir().unwrap();
         let config = ReplicasConfig {
             cardinality: 2_000,
@@ -2302,6 +2323,7 @@ mod tests {
     /// is robust in debug builds.
     #[test]
     fn fanout_overlaps_shard_waits_and_hedges_the_slow_replica() {
+        let _serial = serial();
         let config = FanoutConfig {
             cardinality: 2_000,
             fanout_queries: 12,

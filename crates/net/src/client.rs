@@ -42,9 +42,12 @@ use parking_lot::Mutex;
 use sae_core::ShardedVerifyError;
 use sae_core::{verify_slices, SaeClient, ShardLayout, ShardSlice, ShardedSaeEngine};
 use sae_workload::RangeQuery;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Timeouts and failover knobs for every connection a [`NetClient`] opens.
@@ -125,7 +128,8 @@ struct ClientShared {
     pool: Mutex<HashMap<String, TcpStream>>,
     /// Endpoints that answered badly and were not yet re-admitted.
     demoted: Mutex<HashSet<String>>,
-    /// Per-shard round-robin cursor into the replica group.
+    /// Per-shard round-robin cursor into the replica group, starting at
+    /// this client's [`first_cursor`].
     cursor: Mutex<Vec<usize>>,
 }
 
@@ -341,7 +345,7 @@ impl NetClient {
                 cfg,
                 pool: Mutex::new(HashMap::new()),
                 demoted: Mutex::new(HashSet::new()),
-                cursor: Mutex::new(vec![0; shards]),
+                cursor: Mutex::new(vec![first_cursor(); shards]),
             }),
             workers,
             hwm: vec![0; shards],
@@ -941,6 +945,18 @@ fn candidates(shared: &ClientShared, shard: usize) -> Vec<String> {
     healthy.into_iter().chain(demoted).cloned().collect()
 }
 
+/// Where a new client's round-robin cursors start. The first client in a
+/// process starts at a random replica and every later one at the next, so
+/// clients built together take distinct replicas first and clients in
+/// different processes start at unrelated ones. With one shared start,
+/// clients over the same group would advance through it in step and queue
+/// behind one replica at a time.
+fn first_cursor() -> usize {
+    static NEXT: OnceLock<AtomicUsize> = OnceLock::new();
+    NEXT.get_or_init(|| AtomicUsize::new(RandomState::new().build_hasher().finish() as usize))
+        .fetch_add(1, Ordering::Relaxed)
+}
+
 /// Advances the shard's round-robin cursor by one, once per fetch pass.
 fn advance_cursor(shared: &ClientShared, shard: usize) {
     let group = shared.topology.replicas(shard).len().max(1);
@@ -1015,4 +1031,35 @@ fn dial(shared: &ClientShared, endpoint: &str) -> NetResult<TcpStream> {
     stream.set_read_timeout(Some(shared.cfg.read_timeout))?;
     stream.set_write_timeout(Some(shared.cfg.write_timeout))?;
     Ok(stream)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sae_crypto::HashAlgorithm;
+
+    /// Clients built one after another take distinct replicas first, and
+    /// each client's shards all start at the same member. This is the only
+    /// test in this binary that builds clients, so the starts it draws are
+    /// consecutive.
+    #[test]
+    fn clients_built_in_turn_start_on_different_replicas() {
+        let group: Vec<String> = (0..3).map(|i| format!("127.0.0.1:{}", 9_000 + i)).collect();
+        let topology = Topology::replicated(vec![group.clone(); 2]).unwrap();
+        let firsts: HashSet<String> = (0..group.len())
+            .map(|_| {
+                let client = NetClient::new(
+                    ShardLayout::uniform(1_000, 2),
+                    SaeClient::new(HashAlgorithm::Sha1),
+                    topology.clone(),
+                    NetClientConfig::default(),
+                )
+                .unwrap();
+                let first = candidates(&client.shared, 0)[0].clone();
+                assert_eq!(candidates(&client.shared, 1)[0], first);
+                first
+            })
+            .collect();
+        assert_eq!(firsts.len(), group.len(), "{firsts:?}");
+    }
 }

@@ -326,6 +326,22 @@ impl Message {
         }
     }
 
+    /// Payload length (the `[version, msg_type]` prefix plus the body) of
+    /// the variants that carry bulk bytes, so their frame is allocated once
+    /// and a slice is checked against the frame cap before it is encoded.
+    /// `None` for the small fixed-size messages.
+    fn bulk_payload_len(&self) -> Option<usize> {
+        let body = match self {
+            Message::Slice { records, .. } => {
+                4 + 4 + 4 + 8 + DIGEST_LEN + records.iter().map(Vec::len).sum::<usize>()
+            }
+            Message::SnapshotChunk { bytes, .. } => 4 + 4 + 4 + 8 + bytes.len(),
+            Message::Tail { bytes, .. } => 4 + bytes.len(),
+            _ => return None,
+        };
+        Some(2 + body)
+    }
+
     /// Encodes the body (everything after the `[version, msg_type]` prefix).
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
@@ -572,15 +588,20 @@ fn decode_u32s<const N: usize>(body: &[u8], what: &'static str) -> NetResult<[u3
 }
 
 /// Encodes one message as a complete frame: header, CRC, versioned payload.
+/// The frame is built in one buffer, sized exactly for bulk messages: a
+/// zeroed header, the payload behind it, then `len` and `crc` patched in
+/// place.
 pub fn encode_frame(message: &Message) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64);
-    payload.push(WIRE_VERSION);
-    payload.push(message.tag());
-    message.encode_body(&mut payload);
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&sae_storage::wal::crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let payload_len = message.bulk_payload_len().unwrap_or(64);
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload_len);
+    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+    out.push(WIRE_VERSION);
+    out.push(message.tag());
+    message.encode_body(&mut out);
+    let len = (out.len() - FRAME_HEADER_LEN) as u32;
+    let crc = sae_storage::wal::crc32(&out[FRAME_HEADER_LEN..]);
+    out[0..4].copy_from_slice(&len.to_le_bytes());
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -659,21 +680,31 @@ pub fn read_frame<R: Read>(r: &mut R) -> NetResult<(Message, usize)> {
     Ok((Message::decode(&payload)?, FRAME_HEADER_LEN + len))
 }
 
-/// Converts an engine-produced [`ShardSlice`] into its wire message,
-/// refusing slices that exceed the frame cap (the server turns that refusal
-/// into [`code::RESPONSE_TOO_LARGE`]).
-pub fn slice_to_message(slice: &ShardSlice, record_len: usize, epoch: u64) -> Option<Message> {
-    let body = 2 + 20 + DIGEST_LEN + slice.records.iter().map(Vec::len).sum::<usize>();
-    if body > MAX_FRAME_PAYLOAD {
-        return None;
-    }
-    Some(Message::Slice {
+/// Converts an engine-produced [`ShardSlice`] into its wire message, moving
+/// the records into it, and refuses slices that exceed the frame cap (the
+/// server turns that refusal into [`code::RESPONSE_TOO_LARGE`]).
+pub(crate) fn slice_into_message(
+    slice: ShardSlice,
+    record_len: usize,
+    epoch: u64,
+) -> Option<Message> {
+    let message = Message::Slice {
         shard: slice.shard as u32,
         record_len: record_len as u32,
         epoch,
-        records: slice.records.clone(),
+        records: slice.records,
         vt: slice.vt,
-    })
+    };
+    let fits = message
+        .bulk_payload_len()
+        .is_some_and(|len| len <= MAX_FRAME_PAYLOAD);
+    fits.then_some(message)
+}
+
+/// Converts a borrowed [`ShardSlice`] into its wire message, cloning the
+/// records; `None` when the slice exceeds the frame cap.
+pub fn slice_to_message(slice: &ShardSlice, record_len: usize, epoch: u64) -> Option<Message> {
+    slice_into_message(slice.clone(), record_len, epoch)
 }
 
 #[cfg(test)]
@@ -682,6 +713,9 @@ mod tests {
 
     fn roundtrip(m: Message) {
         let frame = encode_frame(&m);
+        if let Some(len) = m.bulk_payload_len() {
+            assert_eq!(frame.len(), FRAME_HEADER_LEN + len, "{m:?}");
+        }
         let (decoded, used) = decode_frame(&frame).expect("own frames decode");
         assert_eq!(decoded, m);
         assert_eq!(used, frame.len());

@@ -23,7 +23,7 @@
 //! every live connection and joins every worker thread.
 
 use crate::frame::{
-    code, read_frame, slice_to_message, write_frame, Message, NetError, NetResult,
+    code, read_frame, slice_into_message, write_frame, Message, NetError, NetResult,
     MAX_FRAME_PAYLOAD, WIRE_VERSION,
 };
 use crate::source::SliceSource;
@@ -503,7 +503,7 @@ fn answer_query(shard: u32, range: &sae_workload::RangeQuery, shared: &Shared) -
     }
     shared.stats.queries.fetch_add(1, Ordering::Relaxed);
     let record_len = slice.records.first().map_or(0, Vec::len);
-    match slice_to_message(&slice, record_len, epoch) {
+    match slice_into_message(slice, record_len, epoch) {
         Some(message) => message,
         None => error_message(
             code::RESPONSE_TOO_LARGE,

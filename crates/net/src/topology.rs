@@ -10,8 +10,9 @@
 use crate::frame::{NetError, NetResult};
 
 /// The published `shard -> [replica endpoints]` mapping a [`crate::NetClient`]
-/// scatters over. Group order is meaningful: the client round-robins within
-/// a group and prefers earlier, non-demoted endpoints on refetch.
+/// scatters over. The client round-robins within a group, each client
+/// from its own starting member, and prefers non-demoted endpoints on
+/// refetch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     groups: Vec<Vec<String>>,

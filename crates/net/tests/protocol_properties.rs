@@ -121,6 +121,52 @@ fn arb_message() -> impl Strategy<Value = Message> {
         })
 }
 
+/// The two frames printed in `docs/protocol.md` § Worked example, pinned
+/// byte for byte, plus a SLICE long enough to run the CRC's 16-byte blocks:
+/// a new CRC kernel or encoder must leave the wire unchanged.
+#[test]
+fn encoder_reproduces_the_documented_frames() {
+    let query = encode_frame(&Message::Query {
+        shard: 1,
+        range: RangeQuery::new(600, 1337),
+    });
+    let expected_query: [u8; 22] = [
+        0x0e, 0x00, 0x00, 0x00, 0xc1, 0x81, 0x33, 0x90, // len = 14, crc = 0x903381c1
+        0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x58, 0x02, // version, QUERY, shard = 1, lower…
+        0x00, 0x00, 0x39, 0x05, 0x00, 0x00, // …lower = 600, upper = 1337
+    ];
+    assert_eq!(query, expected_query);
+    assert_eq!(crc32(&query[8..]), 0x9033_81c1);
+
+    let ping = encode_frame(&Message::Ping);
+    assert_eq!(
+        ping,
+        [0x02, 0x00, 0x00, 0x00, 0xa7, 0xe7, 0xaf, 0x5f, 0x01, 0x04]
+    );
+
+    // The header (len = 162, crc = 0xda1999e7) was recorded from the
+    // one-table bytewise CRC and the two-buffer encoder.
+    let records: Vec<Vec<u8>> = (0..3u8)
+        .map(|r| (0..40u8).map(|i| r * 40 + i).collect())
+        .collect();
+    let slice = encode_frame(&Message::Slice {
+        shard: 2,
+        record_len: 40,
+        epoch: 7,
+        records: records.clone(),
+        vt: Digest([0xAB; 20]),
+    });
+    assert_eq!(slice[..8], [0xa2, 0x00, 0x00, 0x00, 0xe7, 0x99, 0x19, 0xda]);
+    let mut payload = vec![WIRE_VERSION, 2];
+    payload.extend_from_slice(&2u32.to_le_bytes());
+    payload.extend_from_slice(&40u32.to_le_bytes());
+    payload.extend_from_slice(&3u32.to_le_bytes());
+    payload.extend_from_slice(&7u64.to_le_bytes());
+    payload.extend_from_slice(&[0xAB; 20]);
+    payload.extend_from_slice(&records.concat());
+    assert_eq!(slice[8..], payload[..]);
+}
+
 proptest! {
     #[test]
     fn every_catalog_message_round_trips(msg in arb_message()) {

@@ -7,7 +7,7 @@
 //! fabricates a transaction that was not fully appended.
 
 use proptest::prelude::*;
-use sae_storage::wal::{decode_frame, encode_frame, scan_log, WalRecord};
+use sae_storage::wal::{crc32, decode_frame, encode_frame, scan_log, WalRecord};
 use sae_storage::{Page, PageId, Party, ShardMeta, TreeMeta, PAGE_SIZE};
 
 /// One transaction's inputs: its page after-images plus committed metadata.
@@ -145,8 +145,36 @@ fn arb_committed_log() -> impl Strategy<Value = (Vec<u8>, Vec<usize>, u64)> {
         })
 }
 
+/// CRC-32/IEEE one bit at a time, straight from the reflected polynomial:
+/// an oracle that shares no table with the implementation under test.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                0xEDB8_8320 ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // --- CRC-32 -------------------------------------------------------------
+
+    #[test]
+    fn crc32_matches_the_bitwise_definition(
+        bytes in prop::collection::vec(any::<u8>(), 0..2_048),
+        skip in 0usize..16,
+    ) {
+        let bytes = &bytes[skip.min(bytes.len())..];
+        prop_assert_eq!(crc32(bytes), crc32_bitwise(bytes));
+    }
 
     // --- Frame codec --------------------------------------------------------
 
