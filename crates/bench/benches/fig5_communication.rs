@@ -7,7 +7,7 @@
 //! full sweep over n.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sae_core::{SaeSystem, TomSystem};
+use sae_core::{ShardedSaeEngine, TomSystem};
 use sae_crypto::{HashAlgorithm, MacSigner};
 use sae_workload::{DatasetSpec, KeyDistribution, QueryWorkload};
 
@@ -15,7 +15,7 @@ const N: usize = 20_000;
 
 fn bench_fig5(c: &mut Criterion) {
     let dataset = DatasetSpec::paper(N, KeyDistribution::unf(), 5).generate();
-    let sae = SaeSystem::build_in_memory(&dataset, HashAlgorithm::Sha1).unwrap();
+    let sae = ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, 1).unwrap();
     let signer = MacSigner::new(b"do-key".to_vec());
     let tom =
         TomSystem::build_in_memory(&dataset, HashAlgorithm::Sha1, signer.clone(), signer).unwrap();
@@ -32,7 +32,7 @@ fn bench_fig5(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_communication");
     group.sample_size(20);
     group.bench_function("sae_vt_generation", |b| {
-        b.iter(|| sae.te().generate_vt(&q).unwrap())
+        b.iter(|| sae.with_te_mut(0, |te| te.generate_vt(&q).unwrap()))
     });
     group.bench_function("tom_vo_generation", |b| {
         b.iter(|| {

@@ -7,7 +7,7 @@
 //! tables come from `experiments -- fig6`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sae_core::{SaeSystem, TomSystem};
+use sae_core::{ShardedSaeEngine, TomSystem};
 use sae_crypto::{HashAlgorithm, MacSigner};
 use sae_workload::{DatasetSpec, KeyDistribution, QueryWorkload};
 
@@ -15,7 +15,7 @@ const N: usize = 20_000;
 
 fn bench_fig6(c: &mut Criterion) {
     let dataset = DatasetSpec::paper(N, KeyDistribution::unf(), 6).generate();
-    let sae = SaeSystem::build_in_memory(&dataset, HashAlgorithm::Sha1).unwrap();
+    let sae = ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, 1).unwrap();
     let signer = MacSigner::new(b"do-key".to_vec());
     let tom =
         TomSystem::build_in_memory(&dataset, HashAlgorithm::Sha1, signer.clone(), signer).unwrap();
@@ -31,12 +31,14 @@ fn bench_fig6(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fig6_query_processing");
     group.sample_size(20);
-    group.bench_function("sp_sae_query", |b| b.iter(|| sae.sp().query(&q).unwrap()));
+    group.bench_function("sp_sae_query", |b| {
+        b.iter(|| sae.with_sp_mut(0, |sp| sp.query(&q).unwrap()))
+    });
     group.bench_function("sp_tom_query_with_vo", |b| {
         b.iter(|| tom.query(&q).unwrap())
     });
     group.bench_function("te_sae_generate_vt", |b| {
-        b.iter(|| sae.te().generate_vt(&q).unwrap())
+        b.iter(|| sae.with_te_mut(0, |te| te.generate_vt(&q).unwrap()))
     });
     group.finish();
 }

@@ -7,7 +7,7 @@
 //! `experiments -- fig8`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sae_core::{SaeSystem, TomSystem};
+use sae_core::{ShardedSaeEngine, TomSystem};
 use sae_crypto::{HashAlgorithm, MacSigner};
 use sae_workload::{DatasetSpec, KeyDistribution};
 
@@ -17,7 +17,7 @@ fn bench_fig8(c: &mut Criterion) {
     let alg = HashAlgorithm::Sha1;
     let dataset = DatasetSpec::paper(N, KeyDistribution::unf(), 8).generate();
 
-    let sae = SaeSystem::build_in_memory(&dataset, alg).unwrap();
+    let sae = ShardedSaeEngine::build_in_memory(&dataset, alg, 1).unwrap();
     let signer = MacSigner::new(b"do-key".to_vec());
     let tom = TomSystem::build_in_memory(&dataset, alg, signer.clone(), signer.clone()).unwrap();
     let s = sae.storage_breakdown();
@@ -35,7 +35,7 @@ fn bench_fig8(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8_storage");
     group.sample_size(10);
     group.bench_function("build_sae_deployment", |b| {
-        b.iter(|| SaeSystem::build_in_memory(&dataset, alg).unwrap())
+        b.iter(|| ShardedSaeEngine::build_in_memory(&dataset, alg, 1).unwrap())
     });
     group.bench_function("build_tom_deployment", |b| {
         b.iter(|| {

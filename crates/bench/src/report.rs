@@ -347,7 +347,7 @@ pub fn print_net(rows: &[NetRow]) {
 pub fn print_replicas(rows: &[ReplicaRow]) {
     header("Experiment E14 — trustless read replicas: verified qps vs replica count");
     println!(
-        "  {:>8} {:>9} {:>7} {:>7} {:>10} {:>9} {:>9} {:>8} {:>9} {:>9} {:>9} {:>5}",
+        "  {:>8} {:>9} {:>7} {:>7} {:>10} {:>9} {:>9} {:>8} {:>9} {:>9} {:>9} {:>5} {:>9}",
         "replicas",
         "endpoints",
         "threads",
@@ -359,11 +359,12 @@ pub fn print_replicas(rows: &[ReplicaRow]) {
         "verified",
         "byzantine",
         "failovers",
-        "stale"
+        "stale",
+        "min share"
     );
     for r in rows {
         println!(
-            "  {:>8} {:>9} {:>7} {:>7} {:>10.0} {:>9.3} {:>9.3} {:>7.2}x {:>9} {:>9} {:>9} {:>5}",
+            "  {:>8} {:>9} {:>7} {:>7} {:>10.0} {:>9.3} {:>9.3} {:>7.2}x {:>9} {:>9} {:>9} {:>5} {:>9.2}",
             r.replicas,
             r.endpoints,
             r.threads,
@@ -383,7 +384,8 @@ pub fn print_replicas(rows: &[ReplicaRow]) {
                 "routed"
             } else {
                 "MISSED"
-            }
+            },
+            r.min_replica_share
         );
     }
 }

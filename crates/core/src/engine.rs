@@ -1,23 +1,22 @@
-//! A concurrent, multi-client serving layer over the SAE and TOM deployments.
+//! Concurrent, multi-client drivers over the SAE and TOM deployments.
 //!
-//! [`SaeSystem`]/[`TomSystem`] answer one query at a time through `&self`
-//! paths; this module turns them into engines that serve many clients at
-//! once:
+//! Any deployment implementing [`QueryService`] — the SAE
+//! [`ShardedSaeEngine`](crate::sharded::ShardedSaeEngine) at any shard
+//! count (one shard is the single SP/TE pair), or the TOM baseline behind
+//! [`TomEngine`] — can serve many clients at once:
 //!
-//! * **Partitioned locking.** Under SAE the service provider and the trusted
-//!   entity are separate machines, so [`SaeEngine`] puts each party behind its
-//!   own `RwLock`: any number of queries share the read locks while data-owner
-//!   updates take both write locks (always SP before TE — the single global
-//!   lock order) and therefore appear atomic to every reader.
 //! * **Thread-pooled drivers.** [`serve_batch`] fans a fixed workload out over
 //!   N worker threads; [`serve_mix`] runs a closed loop in which every worker
 //!   plays one client replaying its own deterministic
-//!   [`QueryMix`] stream. Both aggregate per-thread
+//!   [`QueryMix`] stream; [`serve_ops`] interleaves data-owner writes through
+//!   [`UpdateService`]. All of them aggregate per-thread
 //!   [`QueryMetrics`] and wall-clock latencies into a [`ThroughputReport`]
 //!   (p50/p95/p99 latency, queries per second).
-//! * **Buffer pooling.** [`SaeEngine::build_cached`] wires a
-//!   [`CachedPager`] under both parties so hot index pages are served from
-//!   memory instead of hitting the backing store on every traversal.
+//! * **Locking.** The SAE engine puts each shard's SP and TE behind its own
+//!   `RwLock` (SP before TE — the single global lock order), so queries share
+//!   the read locks while an update takes both write locks and appears
+//!   atomic to every reader. TOM has one server-side party, so
+//!   [`TomEngine`] wraps it in one lock.
 //!
 //! ## Cost accounting under concurrency
 //!
@@ -37,21 +36,13 @@
 //! exactly what the paper's 10 ms/node-access model simulates.
 
 use crate::metrics::{LatencySummary, QueryMetrics};
-use crate::sae::{
-    delete_from_parties, insert_into_parties, SaeClient, SaeServiceProvider, SaeSystem,
-    TrustedEntity,
-};
 use crate::tom::TomSystem;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sae_crypto::signer::{Signer, Verifier};
-use sae_crypto::{HashAlgorithm, DIGEST_LEN};
-use sae_storage::{
-    CachedPager, CostModel, IoSnapshot, IoStats, MemPager, PageStore, SharedPageStore,
-    StorageResult,
-};
-use sae_workload::{Dataset, QueryMix, RangeQuery, Record};
+use sae_storage::{CostModel, IoSnapshot, IoStats, StorageResult};
+use sae_workload::{QueryMix, RangeQuery, Record};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,10 +67,9 @@ pub trait QueryService: Send + Sync {
 }
 
 /// A [`QueryService`] that also accepts data-owner updates, so the mixed
-/// read/write driver ([`serve_ops`]) can run against it. Implemented by both
-/// the single-pair [`SaeEngine`] and the sharded
-/// [`ShardedSaeEngine`](crate::sharded::ShardedSaeEngine), which is exactly
-/// what lets one driver path compare their write scaling.
+/// read/write driver ([`serve_ops`]) can run against it. Implemented by
+/// [`ShardedSaeEngine`](crate::sharded::ShardedSaeEngine), so one driver path
+/// compares write scaling across shard counts.
 pub trait UpdateService: QueryService {
     /// Applies one insert-then-delete round trip of `record`, atomically with
     /// respect to concurrent queries. `hold` is slept *inside* the write
@@ -446,177 +436,6 @@ pub fn serve_ops<S: UpdateService + ?Sized>(
     })
 }
 
-/// The SAE deployment behind independently lockable parties.
-///
-/// Lock order is **SP before TE** everywhere. Queries hold the SP read lock
-/// across the TE read so each query sees one consistent deployment state
-/// (updates take both write locks, so a reader that acquired the SP lock
-/// first is guaranteed the TE has not advanced past it).
-pub struct SaeEngine {
-    sp: RwLock<SaeServiceProvider>,
-    te: RwLock<TrustedEntity>,
-    client: SaeClient,
-    cost_model: CostModel,
-    sp_stats: Arc<IoStats>,
-    te_stats: Arc<IoStats>,
-    sp_cache: Option<Arc<CachedPager>>,
-    te_cache: Option<Arc<CachedPager>>,
-}
-
-impl SaeEngine {
-    /// Wraps an existing deployment's parties in locks.
-    pub fn from_system(system: SaeSystem) -> SaeEngine {
-        let cost_model = system.cost_model();
-        let (sp, te, client) = system.into_parts();
-        let sp_stats = sp.store().stats();
-        let te_stats = te.store().stats();
-        SaeEngine {
-            sp: RwLock::new(sp),
-            te: RwLock::new(te),
-            client,
-            cost_model,
-            sp_stats,
-            te_stats,
-            sp_cache: None,
-            te_cache: None,
-        }
-    }
-
-    /// Builds a fresh in-memory deployment with a [`CachedPager`] of
-    /// `cache_pages` pages wired under **each** party, so hot index pages are
-    /// served from the buffer pool.
-    pub fn build_cached(
-        dataset: &Dataset,
-        alg: HashAlgorithm,
-        cache_pages: usize,
-    ) -> StorageResult<SaeEngine> {
-        let sp_cache = Arc::new(CachedPager::new(MemPager::new_shared(), cache_pages));
-        let te_cache = Arc::new(CachedPager::new(MemPager::new_shared(), cache_pages));
-        let system = SaeSystem::build(
-            Arc::clone(&sp_cache) as SharedPageStore,
-            Arc::clone(&te_cache) as SharedPageStore,
-            dataset,
-            alg,
-            CostModel::paper(),
-            crate::sae::TeMode::XbTree,
-        )?;
-        let mut engine = SaeEngine::from_system(system);
-        engine.sp_cache = Some(sp_cache);
-        engine.te_cache = Some(te_cache);
-        Ok(engine)
-    }
-
-    /// Builds a fresh in-memory deployment without a buffer pool.
-    pub fn build_in_memory(dataset: &Dataset, alg: HashAlgorithm) -> StorageResult<SaeEngine> {
-        Ok(SaeEngine::from_system(SaeSystem::build_in_memory(
-            dataset, alg,
-        )?))
-    }
-
-    /// Propagates a data-owner insertion to both parties, atomically with
-    /// respect to concurrent queries; a TE failure rolls the SP insertion
-    /// back so the parties never diverge.
-    pub fn insert(&self, record: &Record) -> StorageResult<()> {
-        let mut sp = self.sp.write();
-        let mut te = self.te.write();
-        insert_into_parties(&mut sp, &mut te, record)
-    }
-
-    /// Propagates a data-owner deletion to both parties, atomically with
-    /// respect to concurrent queries; one-sided deletions are rolled back and
-    /// reported as [`sae_storage::StorageError::Desync`].
-    pub fn delete(&self, id: u64, key: u32) -> StorageResult<bool> {
-        let mut sp = self.sp.write();
-        let mut te = self.te.write();
-        delete_from_parties(&mut sp, &mut te, id, key)
-    }
-
-    /// Buffer-pool counters of the SP, when built with a cache.
-    pub fn sp_cache_stats(&self) -> Option<IoSnapshot> {
-        self.sp_cache.as_ref().map(|c| c.stats().snapshot())
-    }
-
-    /// Buffer-pool counters of the TE, when built with a cache.
-    pub fn te_cache_stats(&self) -> Option<IoSnapshot> {
-        self.te_cache.as_ref().map(|c| c.stats().snapshot())
-    }
-
-    /// Serves a fixed batch (see [`serve_batch`]).
-    pub fn serve_batch(&self, queries: &[RangeQuery], opts: &ServeOptions) -> ThroughputReport {
-        serve_batch(self, queries, opts)
-    }
-
-    /// Runs the closed-loop per-client driver (see [`serve_mix`]).
-    pub fn serve_mix(
-        &self,
-        mix: &QueryMix,
-        queries_per_client: usize,
-        seed: u64,
-        opts: &ServeOptions,
-    ) -> ThroughputReport {
-        serve_mix(self, mix, queries_per_client, seed, opts)
-    }
-
-    /// Runs the closed-loop mixed read/write driver (see [`serve_ops`]).
-    pub fn serve_ops(
-        &self,
-        mix: &QueryMix,
-        write_fraction: f64,
-        record_size: usize,
-        ops_per_client: usize,
-        seed: u64,
-        opts: &ServeOptions,
-    ) -> ThroughputReport {
-        serve_ops(
-            self,
-            mix,
-            write_fraction,
-            record_size,
-            ops_per_client,
-            seed,
-            opts,
-        )
-    }
-}
-
-impl UpdateService for SaeEngine {
-    fn apply_update(&self, record: &Record, hold: Duration) -> StorageResult<()> {
-        let mut sp = self.sp.write();
-        let mut te = self.te.write();
-        crate::sae::update_parties(&mut sp, &mut te, record, hold)
-    }
-}
-
-impl QueryService for SaeEngine {
-    fn execute(&self, q: &RangeQuery) -> StorageResult<QueryMetrics> {
-        // SP read lock held across the TE read: see the lock-order note on
-        // the struct.
-        let sp = self.sp.read();
-        let records = sp.query(q)?;
-        let vt = self.te.read().generate_vt(q)?;
-        drop(sp);
-        let (verified, client_ms) = self.client.verify(q, &records, &vt);
-        Ok(QueryMetrics {
-            result_cardinality: records.len() as u64,
-            auth_bytes: DIGEST_LEN as u64,
-            client_verify_ms: client_ms,
-            verified,
-            ..Default::default()
-        })
-    }
-
-    fn party_stats(&self) -> Vec<(&'static str, Arc<IoStats>)> {
-        vec![
-            ("sp", Arc::clone(&self.sp_stats)),
-            ("te", Arc::clone(&self.te_stats)),
-        ]
-    }
-
-    fn cost_model(&self) -> CostModel {
-        self.cost_model
-    }
-}
-
 /// The TOM deployment behind one lock (TOM has a single server-side party).
 pub struct TomEngine<S: Signer + Send + Sync, V: Verifier + Send + Sync> {
     system: RwLock<TomSystem<S, V>>,
@@ -682,9 +501,9 @@ impl<S: Signer + Send + Sync, V: Verifier + Send + Sync> QueryService for TomEng
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sae_crypto::MacSigner;
-    use sae_storage::StorageError;
-    use sae_workload::{DatasetSpec, KeyDistribution};
+    use crate::sharded::ShardedSaeEngine;
+    use sae_crypto::{HashAlgorithm, MacSigner};
+    use sae_workload::{Dataset, DatasetSpec, KeyDistribution};
 
     fn dataset(n: usize) -> Dataset {
         DatasetSpec {
@@ -694,6 +513,11 @@ mod tests {
             seed: 5,
         }
         .generate()
+    }
+
+    /// The single SP/TE pair: a 1-shard layout.
+    fn single_pair(ds: &Dataset) -> ShardedSaeEngine {
+        ShardedSaeEngine::build_in_memory(ds, HashAlgorithm::Sha1, 1).unwrap()
     }
 
     fn opts(threads: usize) -> ServeOptions {
@@ -706,14 +530,14 @@ mod tests {
     #[test]
     fn engines_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SaeEngine>();
+        assert_send_sync::<ShardedSaeEngine>();
         assert_send_sync::<TomEngine<MacSigner, MacSigner>>();
     }
 
     #[test]
     fn concurrent_batches_verify_and_count_everything() {
         let ds = dataset(4_000);
-        let engine = SaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let engine = single_pair(&ds);
         let queries = QueryMix::uniform(100_000, 0.01).workload(64, 3).queries;
         let report = engine.serve_batch(&queries, &opts(4));
         assert_eq!(report.queries, 64);
@@ -737,15 +561,18 @@ mod tests {
     #[test]
     fn concurrent_results_match_the_sequential_system() {
         let ds = dataset(2_000);
-        let system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
-        let engine = SaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let engine = single_pair(&ds);
         for q in QueryMix::uniform(100_000, 0.02).workload(10, 9).iter() {
-            let sequential = system.query(q).unwrap();
+            let sequential = engine.query(q).unwrap();
             let concurrent = engine.execute(q).unwrap();
             assert!(concurrent.verified);
             assert_eq!(
                 concurrent.result_cardinality,
                 sequential.metrics.result_cardinality
+            );
+            assert_eq!(
+                concurrent.result_cardinality,
+                ds.query_cardinality(q) as u64
             );
         }
     }
@@ -753,8 +580,8 @@ mod tests {
     #[test]
     fn cached_engine_serves_identical_results_with_buffer_pool_hits() {
         let ds = dataset(3_000);
-        let plain = SaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
-        let cached = SaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 256).unwrap();
+        let plain = single_pair(&ds);
+        let cached = ShardedSaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 1, 256).unwrap();
         let queries = QueryMix::zipf(100_000, 0.01, 0.8).workload(40, 17).queries;
 
         let a = plain.serve_batch(&queries, &opts(2));
@@ -769,14 +596,14 @@ mod tests {
         // ...while repeated traversals hit the pool.
         let sp = cached.sp_cache_stats().unwrap();
         assert!(sp.cache_hits > 0, "{sp:?}");
-        let te = cached.te_cache_stats().unwrap();
+        let te = cached.with_te_mut(0, |te| te.store().stats().snapshot());
         assert!(te.cache_hits > 0, "{te:?}");
     }
 
     #[test]
     fn closed_loop_mix_driver_runs_distinct_client_streams() {
         let ds = dataset(2_000);
-        let engine = SaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 128).unwrap();
+        let engine = ShardedSaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 1, 128).unwrap();
         let mix = QueryMix::uniform(100_000, 0.005);
         let report = engine.serve_mix(&mix, 12, 77, &opts(3));
         assert_eq!(report.queries, 36);
@@ -792,7 +619,7 @@ mod tests {
     #[test]
     fn updates_are_atomic_under_concurrent_queries() {
         let ds = dataset(2_000);
-        let engine = Arc::new(SaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap());
+        let engine = Arc::new(single_pair(&ds));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
         std::thread::scope(|scope| {
@@ -822,23 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_delete_reports_desync_like_the_system() {
-        let ds = dataset(500);
-        let mut system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
-        let victim = ds.records[3].clone();
-        assert!(system.te_mut().delete(victim.id, victim.key).unwrap());
-        let engine = SaeEngine::from_system(system);
-        assert!(matches!(
-            engine.delete(victim.id, victim.key),
-            Err(StorageError::Desync(_))
-        ));
-        // Rolled back: the record is still served.
-        let q = RangeQuery::new(victim.key, victim.key);
-        let metrics = engine.execute(&q).unwrap();
-        assert!(metrics.result_cardinality >= 1);
-    }
-
-    #[test]
     fn tom_engine_serves_concurrent_verified_batches() {
         let ds = dataset(2_000);
         let signer = MacSigner::new(b"do-key".to_vec());
@@ -858,7 +668,7 @@ mod tests {
     #[test]
     fn simulated_io_latency_is_overlapped_by_threads() {
         let ds = dataset(800);
-        let engine = SaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let engine = single_pair(&ds);
         let queries = QueryMix::uniform(100_000, 0.002).workload(48, 23).queries;
         let serve = |threads: usize| {
             engine

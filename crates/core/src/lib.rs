@@ -15,32 +15,33 @@
 //!
 //! ## What the crate provides
 //!
-//! * [`sae::SaeSystem`] and [`tom::TomSystem`] — complete, queryable
-//!   deployments of each model over any [`sae_storage::PageStore`];
+//! * [`sharded::ShardedSaeEngine`] — the SAE deployment: `N` key-range
+//!   shards, each an independent SP/TE pair (the parties of [`sae`]) behind
+//!   its own lock pair, with routed writes and scatter-gather range queries
+//!   whose per-shard slices the client stitches back together soundly (a
+//!   dropped shard slice or a record smuggled across a shard boundary is a
+//!   detected tamper). The paper's single SP/TE pair is its 1-shard layout;
+//! * [`tom::TomSystem`] — the TOM baseline deployment over any
+//!   [`sae_storage::PageStore`];
 //! * [`tamper::TamperStrategy`] — malicious-SP behaviours (drop / inject /
 //!   modify / substitute results) used to exercise the security argument;
 //! * [`metrics::QueryMetrics`] — per-query cost accounting in exactly the
 //!   units the paper's figures use (authentication bytes, charged
 //!   node-access milliseconds per party, client verification time);
-//! * [`engine::SaeEngine`]/[`engine::TomEngine`] — the concurrent serving
-//!   layer: `RwLock`-partitioned parties, thread-pooled batch/closed-loop
-//!   drivers with p50/p99 latency and queries/sec aggregation, and optional
-//!   buffer pooling under both parties;
-//! * [`sharded::ShardedSaeEngine`] — the key-range sharded deployment: `N`
-//!   independent SP/TE pairs behind per-shard lock pairs, routed writes,
-//!   and scatter-gather range queries whose per-shard slices the client
-//!   stitches back together soundly (a dropped shard slice or a record
-//!   smuggled across a shard boundary is a detected tamper);
-//! * [`durable`] — the durable serving path: `SaeSystem::create_dir` /
-//!   `ShardedSaeEngine::create_dir` give every shard its own
-//!   `sp-<i>.pages`/`te-<i>.pages` [`sae_storage::FilePager`] pair under a
-//!   checksummed `MANIFEST`, commit every accepted update in pages-before-
-//!   manifest order, and `open_dir` reopens the trees from their committed
+//! * [`engine`] — the concurrent serving layer: thread-pooled
+//!   batch/closed-loop drivers with p50/p99 latency and queries/sec
+//!   aggregation over any [`engine::QueryService`], and the lock-wrapped
+//!   [`engine::TomEngine`];
+//! * [`durable`] — the durable serving path: `ShardedSaeEngine::create_dir`
+//!   gives every shard its own `sp-<i>.pages`/`te-<i>.pages`
+//!   [`sae_storage::FilePager`] pair and write-ahead log under a
+//!   checksummed `MANIFEST`, commits every accepted update to the log
+//!   before any page, and `open_dir` reopens the trees from their committed
 //!   roots (validating identity headers, commit epochs and the TE's
 //!   published digest) instead of rebuilding from the dataset. The
 //!   [`durable::DurabilityPolicy`] knob selects *when* accepted writes
 //!   commit: per update, batched behind an elected group-commit leader
-//!   (one fsync set per batch), or only at `flush()`/`close()`.
+//!   (one fsync per batch), or only at `flush()`/`close()`.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -56,12 +57,12 @@ pub mod tom;
 
 pub use durable::{CommitCrashPoint, DurabilityPolicy};
 pub use engine::{
-    client_ops, serve_batch, serve_mix, serve_ops, MixOp, QueryService, SaeEngine, ServeOptions,
+    client_ops, serve_batch, serve_mix, serve_ops, MixOp, QueryService, ServeOptions,
     ThroughputReport, TomEngine, UpdateService,
 };
 pub use metrics::{LatencySummary, QueryMetrics, StorageBreakdown};
 pub use replica::{ReplicaSet, SnapshotHeader, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC};
-pub use sae::{SaeClient, SaeQueryOutcome, SaeSystem, SaeVerifyError, TrustedEntity};
+pub use sae::{SaeClient, SaeVerifyError, TrustedEntity};
 pub use sharded::{
     verify_slices, ShardLayout, ShardSlice, ShardedQueryOutcome, ShardedSaeEngine,
     ShardedVerifyError,

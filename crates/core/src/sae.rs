@@ -1,4 +1,4 @@
-//! The SAE deployment: DO → (SP, TE) → client.
+//! The three SAE parties: DO → (SP, TE) → client.
 //!
 //! Under SAE the service provider runs a *conventional* DBMS — a heap file
 //! holding the outsourced records plus a plain B⁺-Tree — and returns only the
@@ -8,20 +8,20 @@
 //! `VT = ⊕ h(r)` over the records qualifying the query. The client hashes the
 //! records it received from the SP, XORs the digests and compares against the
 //! VT (§II).
+//!
+//! This module holds the parties themselves; the deployment that wires them
+//! together — in memory or durably, over one key range or several — is
+//! [`crate::sharded::ShardedSaeEngine`]. A single SP/TE pair is its 1-shard
+//! layout.
 
-use crate::durable::{Durability, DurabilityPolicy};
-use crate::metrics::{QueryMetrics, StorageBreakdown};
-use crate::tamper::TamperStrategy;
 use sae_btree::BPlusTree;
-use sae_crypto::{Digest, HashAlgorithm, DIGEST_LEN};
+use sae_crypto::{Digest, HashAlgorithm};
 use sae_storage::{
-    CostModel, HeapFile, MemPager, PageId, RecordId, SharedPageStore, StorageError, StorageResult,
-    TreeMeta,
+    HeapFile, PageId, RecordId, SharedPageStore, StorageError, StorageResult, TreeMeta,
 };
 use sae_workload::{Dataset, RangeQuery, Record, RecordKey, TeTuple};
 use sae_xbtree::{TupleStore, XbTree};
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
 use std::time::Instant;
 
 /// Reads the `(id, key)` header of an encoded record in place, without
@@ -446,13 +446,6 @@ impl SaeClient {
         self.record_len
     }
 
-    /// Verifies a claimed result against a verification token. Returns
-    /// `(accepted, wall-clock milliseconds spent)`.
-    pub fn verify(&self, q: &RangeQuery, result_records: &[Vec<u8>], vt: &Digest) -> (bool, f64) {
-        let (outcome, ms) = self.verify_detailed(q, result_records, vt);
-        (outcome.is_ok(), ms)
-    }
-
     /// Verifies a claimed result, reporting *why* a tampered result was
     /// rejected. Returns the verdict and the wall-clock milliseconds spent.
     pub fn verify_detailed(
@@ -519,356 +512,8 @@ impl SaeClient {
     }
 }
 
-/// Everything a query run produces under SAE.
-#[derive(Clone, Debug)]
-pub struct SaeQueryOutcome {
-    /// The (possibly tampered) result the SP returned, encoded records.
-    pub records: Vec<Vec<u8>>,
-    /// The verification token from the TE.
-    pub vt: Digest,
-    /// Cost accounting for this query.
-    pub metrics: QueryMetrics,
-}
-
-/// A complete SAE deployment over in-memory or file-backed page stores.
-pub struct SaeSystem {
-    sp: SaeServiceProvider,
-    te: TrustedEntity,
-    client: SaeClient,
-    alg: HashAlgorithm,
-    cost_model: CostModel,
-    /// The durable backing when the deployment was created with
-    /// [`SaeSystem::create_dir`] / reopened with [`SaeSystem::open_dir`];
-    /// `None` for in-memory deployments.
-    durability: Option<Durability>,
-}
-
-impl SaeSystem {
-    /// Builds a deployment on fresh in-memory stores (one per party).
-    pub fn build_in_memory(dataset: &Dataset, alg: HashAlgorithm) -> StorageResult<Self> {
-        Self::build(
-            MemPager::new_shared(),
-            MemPager::new_shared(),
-            dataset,
-            alg,
-            CostModel::paper(),
-            TeMode::XbTree,
-        )
-    }
-
-    /// Builds a deployment on explicit page stores.
-    pub fn build(
-        sp_store: SharedPageStore,
-        te_store: SharedPageStore,
-        dataset: &Dataset,
-        alg: HashAlgorithm,
-        cost_model: CostModel,
-        te_mode: TeMode,
-    ) -> StorageResult<Self> {
-        let sp = SaeServiceProvider::build(sp_store, dataset)?;
-        let te = TrustedEntity::build(te_store, dataset, alg, te_mode)?;
-        Ok(SaeSystem {
-            sp,
-            te,
-            client: SaeClient::with_record_len(alg, dataset.spec.record_size),
-            alg,
-            cost_model,
-            durability: None,
-        })
-    }
-
-    /// Creates a *durable* deployment in `dir`: the SP lives in
-    /// `sp-0.pages`, the TE in `te-0.pages` (each optionally behind a
-    /// write-back [`sae_storage::CachedPager`] of `cache_pages` pages), and
-    /// a `MANIFEST` records the committed roots. Every accepted data-owner
-    /// update is flushed and synced in commit order — pages before manifest
-    /// — so the deployment survives a restart via [`SaeSystem::open_dir`].
-    pub fn create_dir(
-        dir: &Path,
-        dataset: &Dataset,
-        alg: HashAlgorithm,
-        cache_pages: Option<usize>,
-    ) -> StorageResult<Self> {
-        Self::create_dir_with(dir, dataset, alg, cache_pages, DurabilityPolicy::Immediate)
-    }
-
-    /// Like [`SaeSystem::create_dir`], with an explicit [`DurabilityPolicy`]
-    /// governing when accepted updates commit: per update (`Immediate`),
-    /// batched (`Group` — with `&mut self` access there is no concurrent
-    /// batch to join, so each update commits on its own ticket), or only at
-    /// `flush()`/`close()` (`FlushOnClose`, for bulk loads).
-    pub fn create_dir_with(
-        dir: &Path,
-        dataset: &Dataset,
-        alg: HashAlgorithm,
-        cache_pages: Option<usize>,
-        policy: DurabilityPolicy,
-    ) -> StorageResult<Self> {
-        let durability = Durability::create(
-            dir,
-            &[dataset.spec.distribution.domain()],
-            dataset.spec.record_size,
-            cache_pages,
-            policy,
-        )?;
-        let stores = durability.stores(0);
-        let sp = SaeServiceProvider::build(stores.sp_store, dataset)?;
-        let te = TrustedEntity::build(stores.te_store, dataset, alg, TeMode::XbTree)?;
-        durability.commit_shard(0, &sp, &te)?;
-        Ok(SaeSystem {
-            sp,
-            te,
-            client: SaeClient::with_record_len(alg, dataset.spec.record_size),
-            alg,
-            cost_model: CostModel::paper(),
-            durability: Some(durability),
-        })
-    }
-
-    /// Reopens a deployment created by [`SaeSystem::create_dir`] from its
-    /// committed roots — the trees are *not* rebuilt from the dataset. Torn
-    /// or garbage manifests, swapped shard files, epoch mismatches
-    /// ([`StorageError::StaleManifest`]) and a TE that no longer folds to
-    /// its published digest are all rejected with typed errors.
-    pub fn open_dir(
-        dir: &Path,
-        alg: HashAlgorithm,
-        cache_pages: Option<usize>,
-    ) -> StorageResult<Self> {
-        Self::open_dir_with(dir, alg, cache_pages, DurabilityPolicy::Immediate)
-    }
-
-    /// Like [`SaeSystem::open_dir`], with an explicit [`DurabilityPolicy`]
-    /// for the reopened deployment's future commits.
-    pub fn open_dir_with(
-        dir: &Path,
-        alg: HashAlgorithm,
-        cache_pages: Option<usize>,
-        policy: DurabilityPolicy,
-    ) -> StorageResult<Self> {
-        let (durability, mut recovered) = Durability::open(dir, cache_pages, policy)?;
-        if durability.shard_count() != 1 {
-            return Err(StorageError::Corrupted(format!(
-                "deployment has {} shards; reopen it with ShardedSaeEngine::open_dir",
-                durability.shard_count()
-            )));
-        }
-        let record_size = durability.record_size();
-        let shard = recovered.remove(0);
-        let stores = durability.stores(0);
-        let sp = SaeServiceProvider::open(
-            stores.sp_store,
-            record_size,
-            shard.meta.heap_record_count,
-            shard.heap_pages,
-            shard.meta.sp_index,
-        )?;
-        let te = TrustedEntity::open(
-            stores.te_store,
-            shard.meta.te_tree,
-            alg,
-            Durability::digest_of(&shard.meta),
-        )?;
-        Ok(SaeSystem {
-            sp,
-            te,
-            client: SaeClient::with_record_len(alg, record_size),
-            alg,
-            cost_model: CostModel::paper(),
-            durability: Some(durability),
-        })
-    }
-
-    /// Whether this deployment is backed by durable files.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    /// The durability policy of a durable deployment; `None` in memory.
-    pub fn durability_policy(&self) -> Option<DurabilityPolicy> {
-        self.durability.as_ref().map(|d| d.policy())
-    }
-
-    /// Commits the current state through the policy-appropriate path after
-    /// an accepted update: nothing under `FlushOnClose`, otherwise a
-    /// ticketed write-ahead-log commit — append plus one log fsync,
-    /// checkpointing only when the log is past its threshold. `Immediate`
-    /// and `Group` share the funnel; with exclusive `&mut self` access this
-    /// caller is always its own leader, so batches are singletons either
-    /// way.
-    fn commit_update(&self) -> Option<StorageResult<()>> {
-        let d = self.durability.as_ref()?;
-        Some(match d.policy() {
-            DurabilityPolicy::FlushOnClose => Ok(()),
-            _ => {
-                let ticket = d.announce(0);
-                d.wait_durable(0, ticket, || d.commit_write(0, &self.sp, &self.te))
-            }
-        })
-    }
-
-    /// Commits the current state to disk with a forced checkpoint (no-op
-    /// for in-memory deployments).
-    pub fn flush(&self) -> StorageResult<()> {
-        match &self.durability {
-            Some(d) => d.commit_shard(0, &self.sp, &self.te),
-            None => Ok(()),
-        }
-    }
-
-    /// Overrides the write-ahead-log size past which a commit folds a
-    /// checkpoint in; see
-    /// [`crate::sharded::ShardedSaeEngine::set_checkpoint_threshold_bytes`].
-    /// A no-op on in-memory deployments.
-    pub fn set_checkpoint_threshold_bytes(&self, bytes: u64) {
-        if let Some(d) = &self.durability {
-            d.set_checkpoint_threshold_bytes(bytes);
-        }
-    }
-
-    /// Commits and tears the deployment down, surfacing the flush errors
-    /// that `Drop` would have to swallow.
-    pub fn close(self) -> StorageResult<()> {
-        self.flush()
-    }
-
-    /// The hash algorithm shared by all parties.
-    pub fn hash_algorithm(&self) -> HashAlgorithm {
-        self.alg
-    }
-
-    /// Access to the SP (for experiments).
-    pub fn sp(&self) -> &SaeServiceProvider {
-        &self.sp
-    }
-
-    /// Access to the TE (for experiments).
-    pub fn te(&self) -> &TrustedEntity {
-        &self.te
-    }
-
-    /// Mutable access to the SP (for experiments and fault injection).
-    pub fn sp_mut(&mut self) -> &mut SaeServiceProvider {
-        &mut self.sp
-    }
-
-    /// Mutable access to the TE (for experiments and fault injection).
-    pub fn te_mut(&mut self) -> &mut TrustedEntity {
-        &mut self.te
-    }
-
-    /// The cost model charged for node accesses.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost_model
-    }
-
-    /// Decomposes the deployment into its parties so they can be placed
-    /// behind independent locks (see [`crate::engine`]).
-    pub fn into_parts(self) -> (SaeServiceProvider, TrustedEntity, SaeClient) {
-        (self.sp, self.te, self.client)
-    }
-
-    /// Runs one query honestly and verifies it.
-    pub fn query(&self, q: &RangeQuery) -> StorageResult<SaeQueryOutcome> {
-        self.query_with_tamper(q, TamperStrategy::Honest, 0)
-    }
-
-    /// Runs one query with the SP applying the given tampering strategy before
-    /// returning the result.
-    pub fn query_with_tamper(
-        &self,
-        q: &RangeQuery,
-        tamper: TamperStrategy,
-        seed: u64,
-    ) -> StorageResult<SaeQueryOutcome> {
-        // --- Service provider: compute the result.
-        let sp_before = self.sp.store().stats().snapshot();
-        let honest = self.sp.query(q)?;
-        let sp_delta = self.sp.store().stats().snapshot().delta_since(&sp_before);
-
-        let records = tamper.apply_sized(&honest, q, seed, self.sp.record_len());
-
-        // --- Trusted entity: compute the token (independent of the SP).
-        let te_before = self.te.store().stats().snapshot();
-        let vt = self.te.generate_vt(q)?;
-        let te_delta = self.te.store().stats().snapshot().delta_since(&te_before);
-
-        // --- Client: verify.
-        let (verified, client_ms) = self.client.verify(q, &records, &vt);
-
-        Ok(SaeQueryOutcome {
-            metrics: QueryMetrics {
-                result_cardinality: records.len() as u64,
-                sp_node_accesses: sp_delta.node_accesses(),
-                sp_charged_ms: self.cost_model.charge_ms(&sp_delta),
-                te_node_accesses: te_delta.node_accesses(),
-                te_charged_ms: self.cost_model.charge_ms(&te_delta),
-                auth_bytes: DIGEST_LEN as u64,
-                client_verify_ms: client_ms,
-                verified,
-            },
-            records,
-            vt,
-        })
-    }
-
-    /// Propagates an insertion from the data owner to both the SP and the TE.
-    /// If the TE insertion fails after the SP accepted the record, the SP
-    /// insertion is rolled back so the parties never diverge. Durable
-    /// deployments commit the accepted update (pages before manifest) before
-    /// returning.
-    pub fn insert_record(&mut self, record: &Record) -> StorageResult<()> {
-        insert_into_parties(&mut self.sp, &mut self.te, record)?;
-        if let Some(Err(e)) = self.commit_update() {
-            // Keep memory and disk agreeing: undo the accepted insert
-            // before reporting the failed commit, so a retry does not
-            // trip over a DuplicateRecordId for a record the caller was
-            // told never landed. (`&mut self` access makes this safe under
-            // `Group` too — no concurrent writer built on the state.)
-            // Best-effort — the commit failure is the primary error and
-            // must not be masked by the rollback.
-            let _ = delete_from_parties(&mut self.sp, &mut self.te, record.id, record.key);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// Propagates a deletion from the data owner to both the SP and the TE.
-    ///
-    /// The parties must agree: if exactly one of them holds the record, the
-    /// successful removal is rolled back and [`StorageError::Desync`] is
-    /// returned instead of leaving the deployment silently diverged (which
-    /// would make every later query covering the key fail verification).
-    /// Durable deployments commit an effective deletion before returning; if
-    /// that commit fails, the in-memory removal is restored so memory and
-    /// disk keep agreeing.
-    pub fn delete_record(&mut self, id: u64, key: u32) -> StorageResult<bool> {
-        let Some((pos, tuple)) = take_from_parties(&mut self.sp, &mut self.te, id, key)? else {
-            return Ok(false);
-        };
-        if let Some(Err(e)) = self.commit_update() {
-            // Best-effort restore of both parties; the commit failure is
-            // the primary error and must not be masked by the rollback.
-            let _ = self.sp.restore(id, key, pos);
-            let _ = self.te.restore(tuple);
-            return Err(e);
-        }
-        Ok(true)
-    }
-
-    /// Per-party storage consumption (Fig. 8).
-    pub fn storage_breakdown(&self) -> StorageBreakdown {
-        StorageBreakdown {
-            sp_dataset_bytes: self.sp.dataset_bytes(),
-            sp_index_bytes: self.sp.index_bytes(),
-            te_bytes: self.te.storage_bytes(),
-        }
-    }
-}
-
 /// Inserts a record into both parties; a TE failure rolls the SP insertion
 /// back (tombstoning the fresh heap slot) so the parties never diverge.
-/// Shared between [`SaeSystem::insert_record`] and the concurrent engine.
 pub(crate) fn insert_into_parties(
     sp: &mut SaeServiceProvider,
     te: &mut TrustedEntity,
@@ -884,9 +529,7 @@ pub(crate) fn insert_into_parties(
 
 /// One full write round trip against a locked SP/TE pair: insert `record`,
 /// sleep `hold` (the simulated write I/O, paid while the key range is
-/// locked), then delete the record again. Shared by the single-pair and
-/// sharded engines' `UpdateService` implementations so the update protocol
-/// cannot drift between them.
+/// locked), then delete the record again.
 pub(crate) fn update_parties(
     sp: &mut SaeServiceProvider,
     te: &mut TrustedEntity,
@@ -901,28 +544,16 @@ pub(crate) fn update_parties(
     Ok(())
 }
 
-/// Deletes `(id, key)` from both parties with rollback on disagreement.
-/// Shared between [`SaeSystem::delete_record`] and the concurrent engine,
-/// which holds the parties behind independent locks.
+/// Deletes `(id, key)` from both parties. Returns `Ok(false)` when neither
+/// holds the record; if exactly one does, its removal is rolled back and
+/// [`StorageError::Desync`] is returned instead of leaving the parties
+/// silently diverged.
 pub(crate) fn delete_from_parties(
     sp: &mut SaeServiceProvider,
     te: &mut TrustedEntity,
     id: u64,
     key: u32,
 ) -> StorageResult<bool> {
-    Ok(take_from_parties(sp, te, id, key)?.is_some())
-}
-
-/// Like [`delete_from_parties`], but returns the removed state — the SP heap
-/// position and the TE tuple — so a caller whose *durable commit* fails
-/// after the in-memory removal can restore both parties and keep memory and
-/// disk agreeing.
-pub(crate) fn take_from_parties(
-    sp: &mut SaeServiceProvider,
-    te: &mut TrustedEntity,
-    id: u64,
-    key: u32,
-) -> StorageResult<Option<(RecordId, TeTuple)>> {
     let sp_pos = sp.take(id, key)?;
     let te_tuple = match te.take(id, key) {
         Ok(tuple) => tuple,
@@ -937,8 +568,8 @@ pub(crate) fn take_from_parties(
         }
     };
     match (sp_pos, te_tuple) {
-        (Some(pos), Some(tuple)) => Ok(Some((pos, tuple))),
-        (None, None) => Ok(None),
+        (Some(_), Some(_)) => Ok(true),
+        (None, None) => Ok(false),
         (Some(pos), None) => {
             sp.restore(id, key, pos)?;
             Err(StorageError::Desync(format!(
@@ -959,6 +590,9 @@ pub(crate) fn take_from_parties(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::{ShardedQueryOutcome, ShardedSaeEngine};
+    use crate::tamper::TamperStrategy;
+    use sae_storage::MemPager;
     use sae_workload::{DatasetSpec, KeyDistribution};
 
     fn small_dataset(n: usize) -> Dataset {
@@ -971,10 +605,29 @@ mod tests {
         .generate()
     }
 
+    /// The single SP/TE pair: a 1-shard layout over the whole key domain.
+    fn single_pair(ds: &Dataset) -> ShardedSaeEngine {
+        ShardedSaeEngine::build_in_memory(ds, HashAlgorithm::Sha1, 1).unwrap()
+    }
+
+    /// The one slice a single-pair query over the key domain produces.
+    fn only_slice(outcome: &ShardedQueryOutcome) -> &crate::sharded::ShardSlice {
+        assert_eq!(outcome.slices.len(), 1, "{:?}", outcome.verdict);
+        &outcome.slices[0]
+    }
+
+    fn ids(outcome: &ShardedQueryOutcome) -> Vec<u64> {
+        only_slice(outcome)
+            .records
+            .iter()
+            .map(|r| Record::decode(r).unwrap().id)
+            .collect()
+    }
+
     #[test]
     fn honest_queries_verify_and_match_the_oracle() {
         let ds = small_dataset(4_000);
-        let system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let system = single_pair(&ds);
         for (lo, hi) in [
             (0u32, 50_000u32),
             (10_000, 12_000),
@@ -984,13 +637,14 @@ mod tests {
             let q = RangeQuery::new(lo, hi);
             let outcome = system.query(&q).unwrap();
             assert!(outcome.metrics.verified, "query [{lo}, {hi}]");
+            let records = &only_slice(&outcome).records;
             assert_eq!(
-                outcome.records.len(),
+                records.len(),
                 ds.query_cardinality(&q),
                 "query [{lo}, {hi}]"
             );
             // Every returned record decodes and satisfies the query.
-            for bytes in &outcome.records {
+            for bytes in records {
                 let r = Record::decode(bytes).unwrap();
                 assert!(q.contains(r.key));
             }
@@ -1001,7 +655,7 @@ mod tests {
     #[test]
     fn tampered_results_are_rejected() {
         let ds = small_dataset(3_000);
-        let system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let system = single_pair(&ds);
         let q = RangeQuery::new(20_000, 24_000);
         assert!(ds.query_cardinality(&q) > 5);
 
@@ -1021,12 +675,11 @@ mod tests {
     /// Regression for the XOR duplicate-injection soundness hole: a bare XOR
     /// fold of the digests *accepts* a result with even-multiplicity
     /// duplicates (`h(r) ⊕ h(r) = 0`), so the demonstration below would have
-    /// passed the old `SaeClient::verify`. The structural checks must reject
-    /// it.
+    /// passed a fold-only client. The structural checks must reject it.
     #[test]
     fn duplicate_injection_cancels_the_xor_fold_but_is_rejected() {
         let ds = small_dataset(3_000);
-        let system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let system = single_pair(&ds);
         let q = RangeQuery::new(20_000, 24_000);
 
         for strategy in [
@@ -1034,22 +687,23 @@ mod tests {
             TamperStrategy::DuplicateExisting { count: 1 },
         ] {
             let outcome = system.query_with_tamper(&q, strategy, 7).unwrap();
+            let slice = only_slice(&outcome);
             // The tampered result really differs from the honest one...
             assert!(
-                outcome.records.len() > ds.query_cardinality(&q),
+                slice.records.len() > ds.query_cardinality(&q),
                 "{strategy:?}"
             );
-            // ...yet its bare XOR fold still equals the TE's token: the old
-            // fold-only client accepted exactly this result.
+            // ...yet its bare XOR fold still equals the TE's token: a
+            // fold-only client accepts exactly this result.
             let mut acc = Digest::ZERO;
-            for r in &outcome.records {
+            for r in &slice.records {
                 acc ^= HashAlgorithm::Sha1.hash(r);
             }
-            assert_eq!(acc, outcome.vt, "{strategy:?} no longer cancels");
+            assert_eq!(acc, slice.vt, "{strategy:?} no longer cancels");
             // The structural client rejects it.
             assert!(!outcome.metrics.verified, "{strategy:?} went undetected");
             let client = SaeClient::with_record_len(HashAlgorithm::Sha1, 200);
-            let (verdict, _) = client.verify_detailed(&q, &outcome.records, &outcome.vt);
+            let (verdict, _) = client.verify_detailed(&q, &slice.records, &slice.vt);
             assert!(
                 matches!(verdict, Err(SaeVerifyError::DuplicateRecordId(_))),
                 "{strategy:?}: {verdict:?}"
@@ -1074,8 +728,8 @@ mod tests {
 
         // Honest baseline accepts.
         let vt = vt_of(&[&a, &b]);
-        let (ok, _) = client.verify(&q, &[a.encode(), b.encode()], &vt);
-        assert!(ok);
+        let (verdict, _) = client.verify_detailed(&q, &[a.encode(), b.encode()], &vt);
+        assert_eq!(verdict, Ok(()));
 
         // Wrong record length (the fabricated record cancels itself, so only
         // the length check can catch it).
@@ -1114,71 +768,81 @@ mod tests {
     #[test]
     fn duplicate_insert_is_rejected_without_corrupting_the_sp() {
         let ds = small_dataset(500);
-        let mut system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let system = single_pair(&ds);
         let existing = ds.records[0].clone();
         let clash = Record::with_size(existing.id, 49_999, 200);
         assert!(matches!(
-            system.insert_record(&clash),
+            system.insert(&clash),
+            Err(StorageError::DuplicateRecordId(_))
+        ));
+        // The SP itself refuses the duplicate too, leaving its state intact.
+        assert!(matches!(
+            system.with_sp_mut(0, |sp| sp.insert(&clash)),
             Err(StorageError::DuplicateRecordId(_))
         ));
         // The original record is still served and verifiable.
         let q = RangeQuery::new(existing.key, existing.key);
         let outcome = system.query(&q).unwrap();
         assert!(outcome.metrics.verified);
-        assert!(outcome
-            .records
-            .iter()
-            .any(|r| Record::decode(r).unwrap().id == existing.id));
+        assert!(ids(&outcome).contains(&existing.id));
     }
 
     #[test]
     fn one_sided_deletes_roll_back_and_report_desync() {
         let ds = small_dataset(1_000);
-        let mut system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let system = single_pair(&ds);
         let victim = ds.records[7].clone();
 
         // Diverge the parties: the TE loses the tuple, the SP keeps the record.
-        assert!(system.te_mut().delete(victim.id, victim.key).unwrap());
-        let err = system.delete_record(victim.id, victim.key).unwrap_err();
+        assert!(system.with_te_mut(0, |te| te.delete(victim.id, victim.key).unwrap()));
+        let err = system.delete(victim.id, victim.key).unwrap_err();
         assert!(matches!(err, StorageError::Desync(_)), "{err}");
         // The SP removal was rolled back: the record is still queryable.
         let q = RangeQuery::new(victim.key, victim.key);
-        let outcome = system.query(&q).unwrap();
-        assert!(outcome
-            .records
-            .iter()
-            .any(|r| Record::decode(r).unwrap().id == victim.id));
+        assert!(ids(&system.query(&q).unwrap()).contains(&victim.id));
 
         // The mirrored direction: the SP loses the record, the TE keeps it.
         let victim2 = ds.records[13].clone();
-        assert!(system.sp_mut().delete(victim2.id, victim2.key).unwrap());
-        let err = system.delete_record(victim2.id, victim2.key).unwrap_err();
+        assert!(system.with_sp_mut(0, |sp| sp.delete(victim2.id, victim2.key).unwrap()));
+        let err = system.delete(victim2.id, victim2.key).unwrap_err();
         assert!(matches!(err, StorageError::Desync(_)), "{err}");
         // The TE rollback keeps its tuple: the honest token still covers the
         // record, so the (now incomplete) SP result fails verification — the
         // divergence is *detected*, not silently accepted.
         let q2 = RangeQuery::new(victim2.key, victim2.key);
-        let outcome = system.query(&q2).unwrap();
-        assert!(!outcome.metrics.verified);
+        assert!(!system.query(&q2).unwrap().metrics.verified);
     }
 
     #[test]
     fn empty_results_verify_with_zero_token() {
         let ds = small_dataset(500);
-        let system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
-        let q = RangeQuery::new(60_000, 70_000); // outside the key domain
-        let outcome = system.query(&q).unwrap();
-        assert!(outcome.records.is_empty());
-        assert_eq!(outcome.vt, Digest::ZERO);
+        let system = single_pair(&ds);
+        // A gap between two adjacent keys: the shard answers, with nothing.
+        let mut keys: Vec<u32> = ds.iter().map(|r| r.key).collect();
+        keys.sort_unstable();
+        let (lo, hi) = keys
+            .windows(2)
+            .find(|w| w[1] - w[0] > 2)
+            .map(|w| (w[0] + 1, w[1] - 1))
+            .unwrap();
+        let outcome = system.query(&RangeQuery::new(lo, hi)).unwrap();
+        let slice = only_slice(&outcome);
+        assert!(slice.records.is_empty());
+        assert_eq!(slice.vt, Digest::ZERO);
+        assert!(outcome.metrics.verified);
+        // Outside the key domain no shard must answer, and none does.
+        let outcome = system.query(&RangeQuery::new(60_000, 70_000)).unwrap();
+        assert!(outcome.slices.is_empty());
         assert!(outcome.metrics.verified);
     }
 
     #[test]
     fn te_cost_is_much_smaller_than_sp_cost() {
         let ds = small_dataset(5_000);
-        let system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let system = single_pair(&ds);
         let q = RangeQuery::new(0, 25_000); // half the domain
         let outcome = system.query(&q).unwrap();
+        assert!(outcome.metrics.te_node_accesses > 0);
         assert!(outcome.metrics.sp_node_accesses > 5 * outcome.metrics.te_node_accesses);
         assert!(outcome.metrics.sp_charged_ms > outcome.metrics.te_charged_ms);
     }
@@ -1186,80 +850,77 @@ mod tests {
     #[test]
     fn updates_propagate_to_both_parties() {
         let ds = small_dataset(1_000);
-        let mut system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let system = single_pair(&ds);
 
         // Insert a fresh record and query for it.
         let new_record = Record::with_size(1_000_000, 123, 200);
-        system.insert_record(&new_record).unwrap();
+        system.insert(&new_record).unwrap();
         let q = RangeQuery::new(123, 123);
         let outcome = system.query(&q).unwrap();
         assert!(outcome.metrics.verified);
-        assert!(outcome
-            .records
-            .iter()
-            .any(|r| Record::decode(r).unwrap().id == 1_000_000));
+        assert!(ids(&outcome).contains(&1_000_000));
 
         // Delete it again.
-        assert!(system.delete_record(1_000_000, 123).unwrap());
+        assert!(system.delete(1_000_000, 123).unwrap());
         let outcome = system.query(&q).unwrap();
         assert!(outcome.metrics.verified);
-        assert!(!outcome
-            .records
-            .iter()
-            .any(|r| Record::decode(r).unwrap().id == 1_000_000));
+        assert!(!ids(&outcome).contains(&1_000_000));
 
         // Deleting a non-existent record reports false.
-        assert!(!system.delete_record(1_000_000, 123).unwrap());
+        assert!(!system.delete(1_000_000, 123).unwrap());
     }
 
     #[test]
     fn sequential_scan_mode_yields_the_same_tokens_at_higher_cost() {
         let ds = small_dataset(3_000);
-        let tree_mode = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
-        let scan_mode = SaeSystem::build(
-            MemPager::new_shared(),
-            MemPager::new_shared(),
-            &ds,
-            HashAlgorithm::Sha1,
-            CostModel::paper(),
-            TeMode::SequentialScan,
-        )
-        .unwrap();
+        let build = |mode| {
+            TrustedEntity::build(MemPager::new_shared(), &ds, HashAlgorithm::Sha1, mode).unwrap()
+        };
+        let tree_mode = build(TeMode::XbTree);
+        let scan_mode = build(TeMode::SequentialScan);
         let q = RangeQuery::new(1_000, 2_000);
-        let a = tree_mode.query(&q).unwrap();
-        let b = scan_mode.query(&q).unwrap();
-        assert_eq!(a.vt, b.vt);
-        assert!(a.metrics.verified && b.metrics.verified);
-        assert!(b.metrics.te_node_accesses > a.metrics.te_node_accesses);
+        let token = |te: &TrustedEntity| {
+            let before = te.store().stats().snapshot();
+            let vt = te.generate_vt(&q).unwrap();
+            let accesses = te.store().stats().snapshot().delta_since(&before);
+            (vt, accesses.node_accesses())
+        };
+        let (a, a_accesses) = token(&tree_mode);
+        let (b, b_accesses) = token(&scan_mode);
+        assert_eq!(a, b);
+        // Both equal the token the single pair's client verifies against.
+        let outcome = single_pair(&ds).query(&q).unwrap();
+        assert!(outcome.metrics.verified);
+        assert_eq!(only_slice(&outcome).vt, a);
+        assert!(b_accesses > a_accesses);
     }
 
     #[test]
     fn durable_system_round_trips_through_close_and_open() {
         let dir = tempfile::tempdir().unwrap();
         let ds = small_dataset(1_500);
-        let mut system =
-            SaeSystem::create_dir(dir.path(), &ds, HashAlgorithm::Sha1, Some(64)).unwrap();
+        let system =
+            ShardedSaeEngine::create_dir(dir.path(), &ds, HashAlgorithm::Sha1, 1, Some(64))
+                .unwrap();
         assert!(system.is_durable());
         let fresh = Record::with_size(2_000_000, 25_000, 200);
-        system.insert_record(&fresh).unwrap();
+        system.insert(&fresh).unwrap();
         let victim = ds.records[3].clone();
-        assert!(system.delete_record(victim.id, victim.key).unwrap());
+        assert!(system.delete(victim.id, victim.key).unwrap());
         let q = RangeQuery::new(0, 50_000);
         let before = system.query(&q).unwrap();
         assert!(before.metrics.verified);
         system.close().unwrap();
 
-        let reopened = SaeSystem::open_dir(dir.path(), HashAlgorithm::Sha1, Some(64)).unwrap();
+        let reopened =
+            ShardedSaeEngine::open_dir(dir.path(), HashAlgorithm::Sha1, Some(64)).unwrap();
+        assert_eq!(reopened.shard_count(), 1);
         let after = reopened.query(&q).unwrap();
         assert!(after.metrics.verified);
-        assert_eq!(after.records, before.records);
-        assert_eq!(after.vt, before.vt);
+        assert_eq!(only_slice(&after).records, only_slice(&before).records);
+        assert_eq!(only_slice(&after).vt, only_slice(&before).vt);
         // The insert survived, the delete stayed deleted.
-        let ids: Vec<u64> = after
-            .records
-            .iter()
-            .map(|r| Record::decode(r).unwrap().id)
-            .collect();
+        let ids = ids(&after);
         assert!(ids.contains(&2_000_000));
         assert!(!ids.contains(&victim.id));
         // Tampered results are still rejected after recovery.
@@ -1268,30 +929,12 @@ mod tests {
             .unwrap();
         assert!(!outcome.metrics.verified);
         reopened.close().unwrap();
-
-        // A multi-shard directory cannot be opened as a single-pair system.
-        let sharded_dir = tempfile::tempdir().unwrap();
-        crate::sharded::ShardedSaeEngine::create_dir(
-            sharded_dir.path(),
-            &ds,
-            HashAlgorithm::Sha1,
-            2,
-            None,
-        )
-        .unwrap()
-        .close()
-        .unwrap();
-        assert!(matches!(
-            SaeSystem::open_dir(sharded_dir.path(), HashAlgorithm::Sha1, None),
-            Err(StorageError::Corrupted(_))
-        ));
     }
 
     #[test]
     fn storage_breakdown_matches_figure_8_shape() {
         let ds = small_dataset(4_000);
-        let system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
-        let s = system.storage_breakdown();
+        let s = single_pair(&ds).storage_breakdown();
         // The SP's storage is dominated by the dataset; the TE is a fraction.
         assert!(s.sp_dataset_bytes > s.sp_index_bytes);
         assert!(s.te_bytes < s.sp_total_bytes() / 2);

@@ -1,11 +1,13 @@
-//! Key-range sharded SAE serving with verified scatter-gather queries.
+//! The SAE deployment: key-range shards with verified scatter-gather
+//! queries.
 //!
-//! The single-pair [`SaeEngine`](crate::engine::SaeEngine) serializes every
-//! data-owner update behind two global locks, so write-heavy mixes collapse
-//! to single-writer throughput no matter how many client threads are added.
 //! The SAE model partitions cleanly by key range — each shard is an
 //! independent SP (heap + B⁺-Tree) plus TE (XB-Tree digest domain) — so
-//! [`ShardedSaeEngine`] holds `N` such pairs, each behind its own lock pair:
+//! [`ShardedSaeEngine`] holds `N` such pairs, each behind its own lock pair,
+//! and serves them in memory or durably. A single SP/TE pair is simply the
+//! 1-shard layout: its one slice is checked by the plain [`SaeClient`], and
+//! it reports the same node accesses, tokens and storage the paper's figures
+//! plot. With more shards, writes stop serializing behind one lock pair:
 //!
 //! * **Routing.** A point insert or delete touches exactly the shard owning
 //!   its key ([`ShardLayout::shard_of`]); writes to different shards run
@@ -45,9 +47,10 @@ use crate::durable::{CommitCrashPoint, Durability, DurabilityPolicy, ShardStores
 use crate::engine::{
     serve_batch, serve_mix, serve_ops, QueryService, ServeOptions, ThroughputReport, UpdateService,
 };
-use crate::metrics::QueryMetrics;
+use crate::metrics::{QueryMetrics, StorageBreakdown};
 use crate::sae::{
-    insert_into_parties, SaeClient, SaeServiceProvider, SaeVerifyError, TeMode, TrustedEntity,
+    delete_from_parties, insert_into_parties, update_parties, SaeClient, SaeServiceProvider,
+    SaeVerifyError, TeMode, TrustedEntity,
 };
 use crate::tamper::TamperStrategy;
 use parking_lot::{RwLock, RwLockWriteGuard};
@@ -304,7 +307,7 @@ pub struct ShardedSaeEngine {
     /// Every record id present anywhere in the deployment. Each shard's SP
     /// only knows its own directory, so without this the data owner could
     /// insert the same id under keys owned by different shards — something
-    /// the single-pair engine rejects. The lock is held only for the map
+    /// one shard's SP would reject. The lock is held only for the map
     /// probe, never across shard work or the write I/O hold.
     ids: RwLock<HashSet<u64>>,
     /// The durable backing when the engine was created with
@@ -635,8 +638,7 @@ impl ShardedSaeEngine {
     /// deployment-wide id directory), so writes to other shards proceed
     /// concurrently. Ids duplicated *anywhere* in the deployment and keys
     /// outside the layout domain (which no range query could ever reach) are
-    /// rejected, exactly like the single-pair engine. A TE failure rolls the
-    /// shard's SP insertion back.
+    /// rejected. A TE failure rolls the shard's SP insertion back.
     ///
     /// On a durable engine the accepted insert is committed per the
     /// deployment's [`DurabilityPolicy`] before returning: a ticketed
@@ -712,9 +714,9 @@ impl ShardedSaeEngine {
         let shard = &self.shards[shard_idx];
         let mut sp = shard.sp.write();
         let mut te = shard.te.write();
-        let Some(_removed) = crate::sae::take_from_parties(&mut sp, &mut te, id, key)? else {
+        if !delete_from_parties(&mut sp, &mut te, id, key)? {
             return Ok(false);
-        };
+        }
         let Some(d) = &self.durability else {
             self.ids.write().remove(&id);
             return Ok(true);
@@ -844,9 +846,21 @@ impl ShardedSaeEngine {
         verify_slices(&self.layout, &self.client, q, slices)
     }
 
-    /// Runs one query honestly end to end (scatter, gather, verify).
+    /// Runs one query honestly end to end (scatter, gather, verify). See
+    /// [`ShardedSaeEngine::query_with_tamper`] for the cost accounting.
     pub fn query(&self, q: &RangeQuery) -> StorageResult<ShardedQueryOutcome> {
         self.query_with_tamper(q, TamperStrategy::Honest, 0)
+    }
+
+    /// Each party's I/O counters, summed over every shard.
+    fn party_snapshots(&self) -> (IoSnapshot, IoSnapshot) {
+        let mut sp = IoSnapshot::default();
+        let mut te = IoSnapshot::default();
+        for shard in &self.shards {
+            sp.accumulate(&shard.sp_stats.snapshot());
+            te.accumulate(&shard.te_stats.snapshot());
+        }
+        (sp, te)
     }
 
     /// Runs one query with a malicious SP corrupting the scatter-gather
@@ -855,13 +869,24 @@ impl ShardedSaeEngine {
     /// manipulate whole slices; every other attack is applied *shard-locally*
     /// to the first non-empty slice, replaying the single-pair attacks inside
     /// one shard's domain.
+    ///
+    /// The SP and TE node accesses (and their charged milliseconds) are the
+    /// deltas of each party's I/O counters across the scatter, summed over
+    /// shards. They are exact only when no other operation runs on the
+    /// engine concurrently — a concurrent query or write lands in the same
+    /// counters. The concurrent drivers therefore account I/O per batch
+    /// instead (see [`crate::engine`]).
     pub fn query_with_tamper(
         &self,
         q: &RangeQuery,
         tamper: TamperStrategy,
         seed: u64,
     ) -> StorageResult<ShardedQueryOutcome> {
+        let (sp_before, te_before) = self.party_snapshots();
         let mut slices = self.scatter(q)?;
+        let (sp_after, te_after) = self.party_snapshots();
+        let sp_delta = sp_after.delta_since(&sp_before);
+        let te_delta = te_after.delta_since(&te_before);
         match tamper {
             TamperStrategy::Honest => {}
             TamperStrategy::DropShardSlice { shard } => {
@@ -913,14 +938,30 @@ impl ShardedSaeEngine {
         Ok(ShardedQueryOutcome {
             metrics: QueryMetrics {
                 result_cardinality: cardinality,
+                sp_node_accesses: sp_delta.node_accesses(),
+                sp_charged_ms: self.cost_model.charge_ms(&sp_delta),
+                te_node_accesses: te_delta.node_accesses(),
+                te_charged_ms: self.cost_model.charge_ms(&te_delta),
                 auth_bytes: (DIGEST_LEN * slices.len()) as u64,
                 client_verify_ms: client_ms,
                 verified: verdict.is_ok(),
-                ..Default::default()
             },
             slices,
             verdict,
         })
+    }
+
+    /// Per-party storage summed over every shard (Fig. 8).
+    pub fn storage_breakdown(&self) -> StorageBreakdown {
+        let mut total = StorageBreakdown::default();
+        for shard in &self.shards {
+            let sp = shard.sp.read();
+            let te = shard.te.read();
+            total.sp_dataset_bytes += sp.dataset_bytes();
+            total.sp_index_bytes += sp.index_bytes();
+            total.te_bytes += te.storage_bytes();
+        }
+        total
     }
 
     /// Aggregated buffer-pool counters over all shards' SPs, when built with
@@ -1029,7 +1070,7 @@ impl UpdateService for ShardedSaeEngine {
         // The round trip is committed once, after its trailing delete: the
         // committed states bracket the whole round trip, which is exactly
         // the atomicity the update protocol promises.
-        match crate::sae::update_parties(&mut sp, &mut te, record, hold) {
+        match update_parties(&mut sp, &mut te, record, hold) {
             Ok(()) => {
                 // The round trip deleted the record again, so its id can be
                 // released whether or not the commit below succeeds — the
@@ -1055,7 +1096,6 @@ impl UpdateService for ShardedSaeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sae::SaeSystem;
     use sae_storage::StorageError;
     use sae_workload::KeyDistribution;
 
@@ -1153,9 +1193,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_results_match_the_single_pair_system() {
+    fn sharded_results_match_the_brute_force_oracle() {
         let ds = dataset(4_000);
-        let oracle = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
         for shards in [1usize, 2, 3, 5, 8] {
             let engine =
                 ShardedSaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1, shards).unwrap();
@@ -1165,19 +1204,20 @@ mod tests {
             {
                 let outcome = engine.query(q).unwrap();
                 assert!(outcome.verdict.is_ok(), "{shards} shards, {q}");
-                let expected = oracle.query(q).unwrap();
+                // The stitched records are exactly the brute-force result.
+                let expected: Vec<Vec<u8>> =
+                    ds.query_oracle(q).into_iter().map(Record::encode).collect();
                 assert_eq!(
                     outcome.metrics.result_cardinality,
-                    expected.records.len() as u64,
+                    expected.len() as u64,
                     "{shards} shards, {q}"
                 );
-                // The stitched records are exactly the flat result.
                 let stitched: Vec<Vec<u8>> = outcome
                     .slices
                     .iter()
                     .flat_map(|s| s.records.iter().cloned())
                     .collect();
-                assert_eq!(stitched, expected.records, "{shards} shards, {q}");
+                assert_eq!(stitched, expected, "{shards} shards, {q}");
             }
         }
     }

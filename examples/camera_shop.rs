@@ -81,20 +81,21 @@ fn main() {
         records,
     };
 
-    let system =
-        SaeSystem::build_in_memory(&dataset, HashAlgorithm::Sha1).expect("outsource catalogue");
+    let system = ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, 1)
+        .expect("outsource catalogue");
 
     // "Select all cameras from R whose price is between 200 and 300 euros."
     let query = RangeQuery::new(200, 300);
     let outcome = system.query(&query).expect("query");
+    let slice = &outcome.slices[0];
 
     println!("cameras priced between 200 and 300 euros:");
-    for bytes in &outcome.records {
+    for bytes in &slice.records {
         println!("  {}", describe(bytes));
     }
     println!(
         "verification token from the TE: {} ({} bytes)",
-        outcome.vt, outcome.metrics.auth_bytes
+        slice.vt, outcome.metrics.auth_bytes
     );
     println!(
         "client verification: {}",
@@ -105,7 +106,7 @@ fn main() {
         }
     );
     assert!(outcome.metrics.verified);
-    assert_eq!(outcome.records.len(), 5);
+    assert_eq!(slice.records.len(), 5);
 
     // A malicious SP tries to hide the Canon SD850 IS from the result
     // (e.g. to push clients toward a sponsored model).
@@ -114,7 +115,10 @@ fn main() {
     let tampered = system
         .query_with_tamper(&query, TamperStrategy::DropRecords { count: 1 }, 2009)
         .expect("query");
-    println!("  returned {} records instead of 5", tampered.records.len());
+    println!(
+        "  returned {} records instead of 5",
+        tampered.metrics.result_cardinality
+    );
     println!(
         "  client verification: {}",
         if tampered.metrics.verified {

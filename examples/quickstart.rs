@@ -23,10 +23,11 @@ fn main() {
     );
 
     // ------------------------------------------------------ outsourcing step
-    // SaeSystem::build ships the records to the SP (heap file + B+-Tree) and
-    // the (id, key, digest) tuples to the TE (XB-Tree).
-    let system =
-        SaeSystem::build_in_memory(&dataset, HashAlgorithm::Sha1).expect("outsourcing the dataset");
+    // Building the engine ships the records to the SP (heap file + B+-Tree)
+    // and the (id, key, digest) tuples to the TE (XB-Tree). One shard: the
+    // paper's single SP/TE pair.
+    let system = ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, 1)
+        .expect("outsourcing the dataset");
     let storage = system.storage_breakdown();
     println!(
         "service provider: {:.1} MB (dataset) + {:.1} MB (B+-Tree index)",
@@ -39,11 +40,12 @@ fn main() {
     // A range query covering 0.5% of the key domain, as in the evaluation.
     let query = RangeQuery::new(4_000_000, 4_050_000);
     let outcome = system.query(&query).expect("query");
+    let slice = &outcome.slices[0];
 
     println!();
     println!("query {query}:");
-    println!("  result cardinality      : {}", outcome.records.len());
-    println!("  verification token      : {}", outcome.vt);
+    println!("  result cardinality      : {}", slice.records.len());
+    println!("  verification token      : {}", slice.vt);
     println!("  authentication bytes    : {}", outcome.metrics.auth_bytes);
     println!(
         "  SP processing (charged) : {:.0} ms ({} node accesses x 10 ms)",

@@ -16,7 +16,8 @@ use sae::prelude::*;
 fn main() {
     let dataset = DatasetSpec::paper(20_000, KeyDistribution::skw(), 13).generate();
 
-    let sae = SaeSystem::build_in_memory(&dataset, HashAlgorithm::Sha1).expect("build SAE");
+    let sae =
+        ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, 1).expect("build SAE");
     let signer = MacSigner::new(b"data-owner-signing-key".to_vec());
     let tom = TomSystem::build_in_memory(&dataset, HashAlgorithm::Sha1, signer.clone(), signer)
         .expect("build TOM");
@@ -25,7 +26,7 @@ fn main() {
     let honest = sae.query(&query).expect("query");
     println!(
         "query {query}: {} qualifying records\n",
-        honest.records.len()
+        honest.metrics.result_cardinality
     );
 
     let strategies = [

@@ -17,18 +17,12 @@ use sae::prelude::*;
 fn main() {
     let dataset = DatasetSpec::paper(20_000, KeyDistribution::unf(), 3).generate();
 
-    // Keep handles to the stores so per-phase node accesses can be measured.
-    let sae_sp_store: SharedPageStore = MemPager::new_shared();
-    let sae_te_store: SharedPageStore = MemPager::new_shared();
-    let mut sae = SaeSystem::build(
-        sae_sp_store.clone(),
-        sae_te_store.clone(),
-        &dataset,
-        HashAlgorithm::Sha1,
-        CostModel::paper(),
-        sae::core::sae::TeMode::XbTree,
-    )
-    .expect("build SAE");
+    // One SP/TE pair; keep handles to each party's I/O counters so
+    // per-phase node accesses can be measured.
+    let sae =
+        ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, 1).expect("build SAE");
+    let sae_sp_stats = sae.with_sp_mut(0, |sp| sp.store().stats());
+    let sae_te_stats = sae.with_te_mut(0, |te| te.store().stats());
 
     let tom_store: SharedPageStore = MemPager::new_shared();
     let signer = MacSigner::new(b"data-owner-signing-key".to_vec());
@@ -43,7 +37,7 @@ fn main() {
     .expect("build TOM");
 
     let query = RangeQuery::new(2_000_000, 2_050_000);
-    let baseline = sae.query(&query).expect("query").records.len();
+    let baseline = sae.query(&query).expect("query").metrics.result_cardinality as usize;
     println!("before updates: {baseline} records match {query}");
 
     // ------------------------------------------------------- update stream
@@ -57,27 +51,25 @@ fn main() {
         .cloned()
         .collect();
 
-    let sp_before = sae_sp_store.stats().snapshot();
-    let te_before = sae_te_store.stats().snapshot();
+    let sp_before = sae_sp_stats.snapshot();
+    let te_before = sae_te_stats.snapshot();
     let tom_before = tom_store.stats().snapshot();
 
     for r in &inserts {
-        sae.insert_record(r).expect("SAE insert");
+        sae.insert(r).expect("SAE insert");
         tom.insert_record(r).expect("TOM insert");
     }
     for r in &deletions {
-        assert!(sae.delete_record(r.id, r.key).expect("SAE delete"));
+        assert!(sae.delete(r.id, r.key).expect("SAE delete"));
         assert!(tom.delete_record(r.id, r.key).expect("TOM delete"));
     }
 
     let updates = (inserts.len() + deletions.len()) as f64;
-    let sp_cost = sae_sp_store
-        .stats()
+    let sp_cost = sae_sp_stats
         .snapshot()
         .delta_since(&sp_before)
         .node_accesses() as f64;
-    let te_cost = sae_te_store
-        .stats()
+    let te_cost = sae_te_stats
         .snapshot()
         .delta_since(&te_before)
         .node_accesses() as f64;
@@ -113,11 +105,9 @@ fn main() {
         baseline + inserts.iter().filter(|r| query.contains(r.key)).count() - deletions.len();
 
     println!();
-    println!(
-        "after updates: {} records match {query}",
-        sae_after.records.len()
-    );
-    assert_eq!(sae_after.records.len(), expected);
+    let sae_matches = sae_after.metrics.result_cardinality as usize;
+    println!("after updates: {sae_matches} records match {query}");
+    assert_eq!(sae_matches, expected);
     assert_eq!(tom_after.records.len(), expected);
     assert!(
         sae_after.metrics.verified,

@@ -17,7 +17,9 @@
 //! * [`mbtree`] — the Merkle B⁺-Tree and verification objects of TOM.
 //! * [`xbtree`] — the XB-Tree, the paper's contribution at the trusted entity.
 //! * [`core`] — the end-to-end SAE and TOM deployments (DO / SP / TE /
-//!   client), the malicious-SP model and per-query metrics.
+//!   client), the malicious-SP model and per-query metrics. The SAE
+//!   deployment is one engine at any shard count; the paper's single SP/TE
+//!   pair is its 1-shard layout.
 //! * [`net`] — the networked deployment: a framed TCP wire protocol,
 //!   thread-per-connection shard servers and a scatter-gather client that
 //!   verifies slices and tokens exactly as the in-process client.
@@ -30,8 +32,9 @@
 //! // The data owner's relation: 10k records, uniform keys, 500-byte records.
 //! let dataset = DatasetSpec::paper(10_000, KeyDistribution::unf(), 42).generate();
 //!
-//! // Outsource it: records go to the SP, reduced tuples go to the TE.
-//! let system = SaeSystem::build_in_memory(&dataset, HashAlgorithm::Sha1).unwrap();
+//! // Outsource it to one SP/TE pair: records go to the SP, reduced tuples
+//! // go to the TE.
+//! let system = ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, 1).unwrap();
 //!
 //! // A client issues a range query and verifies the result with the
 //! // 20-byte token obtained from the trusted entity.
@@ -56,11 +59,10 @@ pub use sae_xbtree as xbtree;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use sae_core::{
-        CommitCrashPoint, DurabilityPolicy, LatencySummary, QueryMetrics, SaeClient, SaeEngine,
-        SaeQueryOutcome, SaeSystem, SaeVerifyError, ServeOptions, ShardLayout, ShardSlice,
-        ShardedQueryOutcome, ShardedSaeEngine, ShardedVerifyError, StorageBreakdown,
-        TamperStrategy, ThroughputReport, TomEngine, TomQueryOutcome, TomSystem, TrustedEntity,
-        UpdateService,
+        CommitCrashPoint, DurabilityPolicy, LatencySummary, QueryMetrics, SaeClient,
+        SaeVerifyError, ServeOptions, ShardLayout, ShardSlice, ShardedQueryOutcome,
+        ShardedSaeEngine, ShardedVerifyError, StorageBreakdown, TamperStrategy, ThroughputReport,
+        TomEngine, TomQueryOutcome, TomSystem, TrustedEntity, UpdateService,
     };
     pub use sae_crypto::{
         hash_bytes, Digest, HashAlgorithm, MacSigner, RsaSigner, Signer, Verifier, XorDigest,
@@ -87,9 +89,9 @@ mod tests {
     #[test]
     fn facade_re_exports_compose() {
         let dataset = DatasetSpec::paper(500, KeyDistribution::unf(), 1).generate();
-        let system = SaeSystem::build_in_memory(&dataset, HashAlgorithm::Sha1).unwrap();
+        let system = ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, 1).unwrap();
         let outcome = system.query(&RangeQuery::new(0, 10_000_000)).unwrap();
         assert!(outcome.metrics.verified);
-        assert_eq!(outcome.records.len(), 500);
+        assert_eq!(outcome.metrics.result_cardinality, 500);
     }
 }

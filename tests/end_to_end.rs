@@ -15,24 +15,38 @@ fn dataset(n: usize, dist: KeyDistribution, seed: u64) -> Dataset {
     .generate()
 }
 
+/// The paper's single SP/TE pair: a 1-shard deployment.
+fn single_pair(ds: &Dataset) -> ShardedSaeEngine {
+    ShardedSaeEngine::build_in_memory(ds, ALG, 1).unwrap()
+}
+
+/// The stitched result records of a query, in key order.
+fn records(outcome: &ShardedQueryOutcome) -> Vec<Vec<u8>> {
+    outcome
+        .slices
+        .iter()
+        .flat_map(|s| s.records.iter().cloned())
+        .collect()
+}
+
 #[test]
 fn sae_results_match_the_oracle_on_both_distributions() {
     for dist in [KeyDistribution::unf(), KeyDistribution::skw()] {
         let ds = dataset(8_000, dist, 1);
-        let system = SaeSystem::build_in_memory(&ds, ALG).unwrap();
+        let system = single_pair(&ds);
         let workload = QueryWorkload::uniform(20, dist.domain(), 0.005, 99);
         for q in workload.iter() {
             let outcome = system.query(q).unwrap();
             assert!(outcome.metrics.verified, "{} {q}", dist.name());
+            let records = records(&outcome);
             assert_eq!(
-                outcome.records.len(),
+                records.len(),
                 ds.query_cardinality(q),
                 "{} {q}",
                 dist.name()
             );
             // The returned ids are exactly the oracle's ids.
-            let mut got: Vec<u64> = outcome
-                .records
+            let mut got: Vec<u64> = records
                 .iter()
                 .map(|r| Record::decode(r).unwrap().id)
                 .collect();
@@ -62,14 +76,14 @@ fn tom_results_match_the_oracle_and_verify_with_rsa_signatures() {
 #[test]
 fn sae_and_tom_agree_on_results_and_both_detect_the_same_attacks() {
     let ds = dataset(6_000, KeyDistribution::skw(), 3);
-    let sae = SaeSystem::build_in_memory(&ds, ALG).unwrap();
+    let sae = single_pair(&ds);
     let signer = MacSigner::new(b"key".to_vec());
     let tom = TomSystem::build_in_memory(&ds, ALG, signer.clone(), signer).unwrap();
 
     let q = RangeQuery::new(100_000, 200_000);
     let sae_honest = sae.query(&q).unwrap();
     let tom_honest = tom.query(&q).unwrap();
-    assert_eq!(sae_honest.records.len(), tom_honest.records.len());
+    assert_eq!(records(&sae_honest), tom_honest.records);
     assert!(sae_honest.metrics.verified && tom_honest.metrics.verified);
 
     for strategy in [
@@ -89,9 +103,10 @@ fn sae_and_tom_agree_on_results_and_both_detect_the_same_attacks() {
 fn the_vt_equals_the_xor_of_the_oracle_digests() {
     // The defining equation of SAE: VT = RS⊕.
     let ds = dataset(4_000, KeyDistribution::unf(), 4);
-    let system = SaeSystem::build_in_memory(&ds, ALG).unwrap();
+    let system = single_pair(&ds);
     for q in QueryWorkload::uniform(15, 10_000_000, 0.01, 11).iter() {
         let outcome = system.query(q).unwrap();
+        assert_eq!(outcome.slices.len(), 1, "{q}");
         let expected = XorDigest::of(
             ds.query_oracle(q)
                 .iter()
@@ -99,7 +114,7 @@ fn the_vt_equals_the_xor_of_the_oracle_digests() {
                 .collect::<Vec<_>>()
                 .iter(),
         );
-        assert_eq!(outcome.vt, expected, "{q}");
+        assert_eq!(outcome.slices[0].vt, expected, "{q}");
     }
 }
 
@@ -108,26 +123,17 @@ fn sae_works_identically_on_file_backed_storage() {
     let dir = tempfile::tempdir().unwrap();
     let ds = dataset(3_000, KeyDistribution::unf(), 5);
 
-    let mem_system = SaeSystem::build_in_memory(&ds, ALG).unwrap();
-    let sp_store: SharedPageStore =
-        std::sync::Arc::new(FilePager::create(dir.path().join("sp.pages")).unwrap());
-    let te_store: SharedPageStore =
-        std::sync::Arc::new(FilePager::create(dir.path().join("te.pages")).unwrap());
-    let file_system = SaeSystem::build(
-        sp_store,
-        te_store,
-        &ds,
-        ALG,
-        CostModel::paper(),
-        sae::core::sae::TeMode::XbTree,
-    )
-    .unwrap();
+    let mem_system = single_pair(&ds);
+    let file_system = ShardedSaeEngine::create_dir(dir.path(), &ds, ALG, 1, None).unwrap();
+    assert!(file_system.is_durable());
 
     for q in QueryWorkload::uniform(10, 10_000_000, 0.005, 21).iter() {
         let a = mem_system.query(q).unwrap();
         let b = file_system.query(q).unwrap();
-        assert_eq!(a.vt, b.vt);
-        assert_eq!(a.records, b.records);
+        assert_eq!(a.slices.len(), 1);
+        assert_eq!(b.slices.len(), 1);
+        assert_eq!(a.slices[0].vt, b.slices[0].vt);
+        assert_eq!(a.slices[0].records, b.slices[0].records);
         assert!(b.metrics.verified);
         // The charged node accesses are identical: the cost model counts
         // logical accesses, not where the pages physically live.
@@ -139,7 +145,7 @@ fn sae_works_identically_on_file_backed_storage() {
 #[test]
 fn update_streams_keep_both_models_consistent_and_verifiable() {
     let ds = dataset(3_000, KeyDistribution::unf(), 6);
-    let mut sae = SaeSystem::build_in_memory(&ds, ALG).unwrap();
+    let sae = single_pair(&ds);
     let signer = MacSigner::new(b"key".to_vec());
     let mut tom = TomSystem::build_in_memory(&ds, ALG, signer.clone(), signer).unwrap();
 
@@ -149,13 +155,13 @@ fn update_streams_keep_both_models_consistent_and_verifiable() {
     // Insert 300 new records and delete 150 existing ones.
     for i in 0..300u64 {
         let r = Record::with_size(9_000_000 + i, ((i * 131) % 10_000_000) as u32, 500);
-        sae.insert_record(&r).unwrap();
+        sae.insert(&r).unwrap();
         tom.insert_record(&r).unwrap();
         shadow.push(r);
     }
     for i in (0..3_000u64).step_by(20) {
         let r = shadow.iter().find(|r| r.id == i).unwrap().clone();
-        assert!(sae.delete_record(r.id, r.key).unwrap());
+        assert!(sae.delete(r.id, r.key).unwrap());
         assert!(tom.delete_record(r.id, r.key).unwrap());
         shadow.retain(|x| x.id != i);
     }
@@ -164,7 +170,7 @@ fn update_streams_keep_both_models_consistent_and_verifiable() {
         let expected: usize = shadow.iter().filter(|r| q.contains(r.key)).count();
         let a = sae.query(q).unwrap();
         let b = tom.query(q).unwrap();
-        assert_eq!(a.records.len(), expected, "SAE {q}");
+        assert_eq!(records(&a).len(), expected, "SAE {q}");
         assert_eq!(b.records.len(), expected, "TOM {q}");
         assert!(a.metrics.verified && b.metrics.verified, "{q}");
     }
@@ -173,8 +179,7 @@ fn update_streams_keep_both_models_consistent_and_verifiable() {
 #[test]
 fn concurrent_engine_agrees_with_the_sequential_system() {
     let ds = dataset(5_000, KeyDistribution::unf(), 9);
-    let system = SaeSystem::build_in_memory(&ds, ALG).unwrap();
-    let engine = SaeEngine::build_cached(&ds, ALG, 256).unwrap();
+    let engine = ShardedSaeEngine::build_cached(&ds, ALG, 1, 256).unwrap();
 
     let queries = QueryMix::uniform(10_000_000, 0.005)
         .workload(40, 51)
@@ -194,12 +199,14 @@ fn concurrent_engine_agrees_with_the_sequential_system() {
     );
 
     // The concurrent batch returns exactly the cardinalities the sequential
-    // system (and therefore the oracle) produces.
-    let expected: u64 = queries
+    // query path and the oracle produce.
+    let sequential: u64 = queries
         .iter()
-        .map(|q| system.query(q).unwrap().records.len() as u64)
+        .map(|q| engine.query(q).unwrap().metrics.result_cardinality)
         .sum();
-    assert_eq!(report.totals.result_cardinality, expected);
+    let oracle: u64 = queries.iter().map(|q| ds.query_cardinality(q) as u64).sum();
+    assert_eq!(report.totals.result_cardinality, sequential);
+    assert_eq!(report.totals.result_cardinality, oracle);
     // Repeated traversals of the hot upper index levels hit the buffer pool.
     let sp_cache = engine.sp_cache_stats().unwrap();
     assert!(sp_cache.cache_hits > 0);
@@ -208,7 +215,7 @@ fn concurrent_engine_agrees_with_the_sequential_system() {
 #[test]
 fn metrics_reflect_the_papers_qualitative_claims() {
     let ds = dataset(10_000, KeyDistribution::unf(), 8);
-    let sae = SaeSystem::build_in_memory(&ds, ALG).unwrap();
+    let sae = single_pair(&ds);
     let signer = MacSigner::new(b"key".to_vec());
     let tom = TomSystem::build_in_memory(&ds, ALG, signer.clone(), signer).unwrap();
 

@@ -47,14 +47,17 @@ proptest! {
     #[test]
     fn sae_honest_execution_is_correct(records in arb_records(), q in arb_query()) {
         let ds = dataset_from(records);
-        let system = SaeSystem::build_in_memory(&ds, ALG).unwrap();
+        let system = ShardedSaeEngine::build_in_memory(&ds, ALG, 1).unwrap();
         let outcome = system.query(&q).unwrap();
         prop_assert!(outcome.metrics.verified);
-        prop_assert_eq!(outcome.records.len(), ds.query_cardinality(&q));
+        prop_assert_eq!(outcome.slices.len(), 1);
+        let slice = &outcome.slices[0];
+        let expected: Vec<Vec<u8>> = ds.query_oracle(&q).into_iter().map(Record::encode).collect();
+        prop_assert_eq!(&slice.records, &expected);
         let expected_vt = XorDigest::of(
             ds.query_oracle(&q).iter().map(|r| r.digest(ALG)).collect::<Vec<_>>().iter(),
         );
-        prop_assert_eq!(outcome.vt, expected_vt);
+        prop_assert_eq!(slice.vt, expected_vt);
     }
 
     /// Honest TOM executions verify and return exactly the oracle's records.
@@ -87,7 +90,7 @@ proptest! {
             _ => TamperStrategy::ModifyRecords { count: amount },
         };
 
-        let sae = SaeSystem::build_in_memory(&ds, ALG).unwrap();
+        let sae = ShardedSaeEngine::build_in_memory(&ds, ALG, 1).unwrap();
         let outcome = sae.query_with_tamper(&q, strategy, seed).unwrap();
         // Dropping every record of a result and injecting nothing could in
         // principle collide only if DS⊕ == 0, which requires a digest
