@@ -66,12 +66,19 @@
 //!   two-fsyncs-plus-manifest sequence into that single fsync, and the
 //!   commit runs under the shard's *read* locks, so writers of other
 //!   shards — and this shard's readers — proceed meanwhile.
-//! * [`DurabilityPolicy::Group`] — classic group commit. A writer mutates
-//!   its shard in memory, enqueues a commit ticket (while still holding the
-//!   shard's write locks), releases the locks and blocks until a commit
-//!   *covering its ticket* is durable. The first waiting writer elects
-//!   itself leader, optionally gathers a batch (`max_batch` / `max_wait`)
-//!   and performs **one** log append + fsync on behalf of the whole batch.
+//! * [`DurabilityPolicy::Group`] — writer-aware group commit. A writer
+//!   marks itself in flight on its shard before it takes the shard's write
+//!   locks, mutates the shard in memory, enqueues a commit ticket (while
+//!   still holding the locks, clearing its in-flight mark), releases the
+//!   locks and blocks until a commit *covering its ticket* is durable.
+//!   Waiting writers gather while other writers of the shard are still in
+//!   flight — they are mid-write and about to queue, so no timer is
+//!   needed. Then one of them elects itself leader and performs **one**
+//!   log append + fsync on behalf of the whole batch. A lone writer
+//!   therefore commits at once, and writers that queue while a leader
+//!   fsyncs ride the next batch. A writer whose ticket a concurrent commit
+//!   (a `flush()`) already covered returns without committing again.
+//!   `Immediate` and `Group` thus differ only in batching.
 //!   An acknowledged write is durable exactly as under `Immediate`; a
 //!   *failed* batch commit is reported to every covered writer, whose
 //!   in-memory mutations then stand ahead of disk until the next successful
@@ -105,7 +112,7 @@ use sae_storage::{
 };
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// File name of the deployment manifest inside a deployment directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -133,18 +140,12 @@ pub enum DurabilityPolicy {
     Immediate,
     /// Group commit: concurrent writers enqueue commit tickets and block
     /// while one elected leader appends and fsyncs a single log transaction
-    /// covering the whole batch. Same guarantee as `Immediate` for
-    /// acknowledged writes, at a fraction of the fsyncs per write under
+    /// covering the whole batch. A batch waits only for writers of its
+    /// shard that are already mid-write, never on a timer, so a lone write
+    /// costs what it costs under `Immediate`. Same guarantee as `Immediate`
+    /// for acknowledged writes, at a fraction of the fsyncs per write under
     /// load.
-    Group {
-        /// Stop gathering and commit once this many writers are pending.
-        max_batch: usize,
-        /// Longest a leader waits for the batch to fill before committing
-        /// anyway. `Duration::ZERO` disables gathering: the leader commits
-        /// at once and batches still form out of writers that queue while
-        /// it fsyncs.
-        max_wait: Duration,
-    },
+    Group,
     /// Updates are acknowledged from memory only; nothing commits until an
     /// explicit `flush()` or `close()` (which checkpoints). A kill before
     /// that recovers the last committed state. For bulk loads.
@@ -152,20 +153,19 @@ pub enum DurabilityPolicy {
 }
 
 impl DurabilityPolicy {
-    /// A group-commit configuration with sensible defaults: batches cap at
-    /// 32 writers and a leader waits at most 500 µs for the batch to fill.
+    /// The group-commit policy, [`DurabilityPolicy::Group`]. It has no
+    /// knobs: a batch is every writer of the shard that queued before its
+    /// leader was elected, which happens once no write of the shard is
+    /// mid-write and no earlier commit is running.
     pub fn group() -> DurabilityPolicy {
-        DurabilityPolicy::Group {
-            max_batch: 32,
-            max_wait: Duration::from_micros(500),
-        }
+        DurabilityPolicy::Group
     }
 
     /// Short lower-case label, as reported in experiment rows.
     pub fn label(&self) -> &'static str {
         match self {
             DurabilityPolicy::Immediate => "immediate",
-            DurabilityPolicy::Group { .. } => "group",
+            DurabilityPolicy::Group => "group",
             DurabilityPolicy::FlushOnClose => "flush-on-close",
         }
     }
@@ -261,7 +261,11 @@ struct GroupQueue {
     queued: u64,
     /// Highest ticket covered by a durable commit.
     durable: u64,
-    /// Whether a leader is currently gathering or committing.
+    /// Writers routed to this shard that have not yet announced a ticket:
+    /// they are waiting for, or holding, the shard's write locks. No leader
+    /// is elected while this is non-zero. See [`WriteIntent`].
+    in_flight: u64,
+    /// Whether a leader is currently committing.
     leader: bool,
     /// Highest ticket covered by a *failed* commit (unless a later success
     /// caught up past it — `durable` is always checked first).
@@ -424,6 +428,32 @@ impl<T> Drop for UnwindFlagGuard<'_, T> {
             (self.clear)(&mut state);
             drop(state);
             self.cv.notify_all();
+        }
+    }
+}
+
+/// A writer's mark that it is mid-write on one shard, raised by
+/// [`Durability::write_intent`] before the writer takes the shard's write
+/// locks. Dropping it clears the mark: right after the writer announces its
+/// ticket, or on any early return (a rejected insert, a delete of an absent
+/// record) or unwind. While any mark is raised, no group-commit leader is
+/// elected, since the marked writer is about to join the batch. The count
+/// always drains: a marked writer waits only on the
+/// shard's tree locks and the momentary id-set lock, never on the leader.
+#[must_use]
+pub(crate) struct WriteIntent<'a> {
+    shard: &'a ShardFiles,
+}
+
+impl Drop for WriteIntent<'_> {
+    fn drop(&mut self) {
+        let mut q = lock_unpoisoned(&self.shard.group);
+        q.in_flight = q.in_flight.saturating_sub(1);
+        let drained = q.in_flight == 0;
+        drop(q);
+        // Only the last writer out can end the gathering.
+        if drained {
+            self.shard.group_cv.notify_all();
         }
     }
 }
@@ -913,6 +943,22 @@ impl Durability {
         }
     }
 
+    /// Marks a writer of shard `i` as in flight until the returned intent
+    /// drops. Call it *before* taking the shard's write locks and drop the
+    /// intent right after [`Durability::announce`], so the next group commit
+    /// waits for this writer's ticket.
+    pub(crate) fn write_intent(&self, i: usize) -> WriteIntent<'_> {
+        let shard = self.shard(i);
+        lock_unpoisoned(&shard.group).in_flight += 1;
+        WriteIntent { shard }
+    }
+
+    /// Writers of shard `i` currently holding a [`WriteIntent`].
+    #[cfg(test)]
+    pub(crate) fn writers_in_flight(&self, i: usize) -> u64 {
+        lock_unpoisoned(&self.shard(i).group).in_flight
+    }
+
     /// Issues a commit ticket for shard `i`. **Must be called while holding
     /// the shard's write locks** (or with otherwise-exclusive access): the
     /// group-commit protocol relies on "ticket issued under write locks,
@@ -922,21 +968,24 @@ impl Durability {
     // durability guarantee, so losing the return value is always a bug.
     #[must_use]
     pub(crate) fn announce(&self, i: usize) -> u64 {
-        let shard = self.shard(i);
-        let mut q = lock_unpoisoned(&shard.group);
+        let mut q = lock_unpoisoned(&self.shard(i).group);
         q.queued += 1;
-        let ticket = q.queued;
-        drop(q);
-        // Wake a leader that may be gathering its batch.
-        shard.group_cv.notify_all();
-        ticket
+        q.queued
     }
 
     /// Blocks until a commit covering `ticket` is durable, electing this
-    /// caller as the batch leader when no commit is in flight. `commit` must
+    /// caller as the batch leader when neither a commit nor another write
+    /// of the shard is in flight. `commit` must
     /// acquire the shard's read locks and run the
     /// [`Durability::prepare_commit`]/[`Durability::finish_commit`] pair; it
     /// is invoked at most once per leadership stint.
+    ///
+    /// No waiter takes the lead while other writers of the shard hold a
+    /// [`WriteIntent`]: each is mid-write and will announce (or give up)
+    /// without waiting on the leader, so the batch closes as soon as they
+    /// have queued, with no timer. A lone writer commits at once, and a
+    /// waiter whose ticket a concurrent commit settled meanwhile (a
+    /// `flush()`) returns without committing again.
     ///
     /// Non-`Group` policies skip the queue entirely: every writer runs its
     /// *own* commit — its own log append and its own acknowledgement fsync,
@@ -951,14 +1000,10 @@ impl Durability {
         ticket: u64,
         commit: impl Fn() -> StorageResult<()>,
     ) -> StorageResult<()> {
+        if self.policy != DurabilityPolicy::Group {
+            return commit();
+        }
         let shard = self.shard(i);
-        let (max_batch, max_wait) = match self.policy {
-            DurabilityPolicy::Group {
-                max_batch,
-                max_wait,
-            } => (max_batch.max(1) as u64, max_wait),
-            _ => return commit(),
-        };
         let mut q = lock_unpoisoned(&shard.group);
         loop {
             if q.durable >= ticket {
@@ -970,32 +1015,17 @@ impl Durability {
                     &q.fail_msg,
                 ));
             }
-            if q.leader {
+            // Wait out a running commit, and gather: writers mid-write are
+            // about to join the batch.
+            if q.leader || q.in_flight > 0 {
                 q = shard.group_cv.wait(q).unwrap_or_else(|e| e.into_inner());
                 continue;
             }
-            // Become the leader: optionally gather a batch, then run ONE
-            // commit for everything queued. The group lock is never held
-            // while the shard's locks are acquired (the commit closure runs
-            // lock-free here), so the lock order stays acyclic.
+            // Become the leader and run ONE commit for everything queued.
+            // The group lock is never held while the shard's locks are
+            // acquired (the commit closure runs lock-free here), so the lock
+            // order stays acyclic.
             q.leader = true;
-            if !max_wait.is_zero() {
-                let deadline = Instant::now() + max_wait;
-                while q.queued.saturating_sub(q.durable) < max_batch {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = shard
-                        .group_cv
-                        .wait_timeout(q, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    q = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-            }
             drop(q);
             // If `commit` panics (tree code, fault injection), leadership
             // must still be released or the shard's writers hang forever.
@@ -1529,9 +1559,6 @@ mod tests {
         assert_eq!(DurabilityPolicy::Immediate.label(), "immediate");
         assert_eq!(DurabilityPolicy::group().label(), "group");
         assert_eq!(DurabilityPolicy::FlushOnClose.label(), "flush-on-close");
-        match DurabilityPolicy::group() {
-            DurabilityPolicy::Group { max_batch, .. } => assert!(max_batch > 1),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(DurabilityPolicy::group(), DurabilityPolicy::Group);
     }
 }

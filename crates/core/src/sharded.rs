@@ -43,7 +43,7 @@
 //! concurrent update — exactly the per-key-range consistency a range-sharded
 //! deployment provides.
 
-use crate::durable::{CommitCrashPoint, Durability, DurabilityPolicy, ShardStores};
+use crate::durable::{CommitCrashPoint, Durability, DurabilityPolicy, ShardStores, WriteIntent};
 use crate::engine::{
     serve_batch, serve_mix, serve_ops, QueryService, ServeOptions, ThroughputReport, UpdateService,
 };
@@ -649,8 +649,9 @@ impl ShardedSaeEngine {
     /// until the next successful commit (the mutation is not unwound;
     /// under `Group` other writers may already have built on it).
     pub fn insert(&self, record: &Record) -> StorageResult<()> {
-        self.claim(record)?;
         let shard_idx = self.layout.shard_of(record.key);
+        let intent = self.write_intent(shard_idx);
+        self.claim(record)?;
         let shard = &self.shards[shard_idx];
         let mut sp = shard.sp.write();
         let mut te = shard.te.write();
@@ -661,7 +662,7 @@ impl ShardedSaeEngine {
                 };
                 match d.policy() {
                     DurabilityPolicy::FlushOnClose => Ok(()),
-                    _ => self.group_commit_write(d, shard, shard_idx, sp, te),
+                    _ => self.group_commit_write(d, shard, shard_idx, intent, sp, te),
                 }
             }
             Err(e) => {
@@ -671,10 +672,19 @@ impl ShardedSaeEngine {
         }
     }
 
+    /// Marks a write routed to shard `shard_idx` as in flight until the
+    /// returned intent drops (see [`WriteIntent`]); `None` when in-memory.
+    /// Writers take it before the shard's write locks, so the next group
+    /// commit of the shard waits for their tickets.
+    fn write_intent(&self, shard_idx: usize) -> Option<WriteIntent<'_>> {
+        self.durability.as_ref().map(|d| d.write_intent(shard_idx))
+    }
+
     /// The ticketed write path shared by `insert`/`delete`/`apply_update`
     /// under `Immediate` *and* `Group`: a ticket is taken while the
     /// caller's write guards are still held (so the next commit is
-    /// guaranteed to cover the mutation), the guards are released so the
+    /// guaranteed to cover the mutation) and the caller's in-flight intent
+    /// dropped (the write is now queued), the guards are released so the
     /// shard accepts further writes, and the call blocks until an elected
     /// leader's commit covers the ticket — appending the transaction to the
     /// write-ahead log under the read locks, then fsyncing the log with no
@@ -686,10 +696,12 @@ impl ShardedSaeEngine {
         d: &Durability,
         shard: &SaeShard,
         shard_idx: usize,
+        intent: Option<WriteIntent<'_>>,
         sp: RwLockWriteGuard<'_, SaeServiceProvider>,
         te: RwLockWriteGuard<'_, TrustedEntity>,
     ) -> StorageResult<()> {
         let ticket = d.announce(shard_idx);
+        drop(intent);
         drop(te);
         drop(sp);
         d.wait_durable(shard_idx, ticket, || {
@@ -711,6 +723,7 @@ impl ShardedSaeEngine {
     /// error is reported).
     pub fn delete(&self, id: u64, key: RecordKey) -> StorageResult<bool> {
         let shard_idx = self.layout.shard_of(key);
+        let intent = self.write_intent(shard_idx);
         let shard = &self.shards[shard_idx];
         let mut sp = shard.sp.write();
         let mut te = shard.te.write();
@@ -731,7 +744,7 @@ impl ShardedSaeEngine {
                 // before the durability wait so concurrent writers see the
                 // same state queries do.
                 self.ids.write().remove(&id);
-                self.group_commit_write(d, shard, shard_idx, sp, te)?;
+                self.group_commit_write(d, shard, shard_idx, intent, sp, te)?;
                 Ok(true)
             }
         }
@@ -1062,8 +1075,9 @@ impl QueryService for ShardedSaeEngine {
 
 impl UpdateService for ShardedSaeEngine {
     fn apply_update(&self, record: &Record, hold: Duration) -> StorageResult<()> {
-        self.claim(record)?;
         let shard_idx = self.layout.shard_of(record.key);
+        let intent = self.write_intent(shard_idx);
+        self.claim(record)?;
         let shard = &self.shards[shard_idx];
         let mut sp = shard.sp.write();
         let mut te = shard.te.write();
@@ -1079,7 +1093,7 @@ impl UpdateService for ShardedSaeEngine {
                     None => Ok(()),
                     Some(d) => match d.policy() {
                         DurabilityPolicy::FlushOnClose => Ok(()),
-                        _ => self.group_commit_write(d, shard, shard_idx, sp, te),
+                        _ => self.group_commit_write(d, shard, shard_idx, intent, sp, te),
                     },
                 };
                 self.ids.write().remove(&record.id);
@@ -1540,41 +1554,39 @@ mod tests {
         assert_eq!(immediate_syncs, writers as u64);
         engine.close().unwrap();
 
-        // Group with a generous gather window: four concurrent writers of
-        // the same shard must ride one (or at worst two) batched commits.
+        // Group: four writers of the one shard queue behind its SP write
+        // lock, held here until all four are in flight. No leader is
+        // elected before the last of them has queued, so ONE log fsync
+        // covers the whole batch.
         let dir = tempfile::tempdir().unwrap();
-        let engine = ShardedSaeEngine::create_dir_with(
-            dir.path(),
-            &ds,
-            HashAlgorithm::Sha1,
-            1,
-            Some(256),
-            DurabilityPolicy::Group {
-                max_batch: writers,
-                max_wait: Duration::from_millis(500),
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            engine.durability_policy(),
-            Some(DurabilityPolicy::Group {
-                max_batch: writers,
-                max_wait: Duration::from_millis(500),
-            })
-        );
+        let engine = group_engine(dir.path(), &ds);
+        assert_eq!(engine.durability_policy(), Some(DurabilityPolicy::Group));
+        let durability = engine.durability.as_ref().unwrap();
         let before = total_syncs(&engine);
-        std::thread::scope(|scope| {
-            for r in &records {
-                let engine = &engine;
-                scope.spawn(move || engine.insert(r).unwrap());
-            }
-        });
+        let held = engine.shards[0].sp.write();
+        let pending: Vec<_> = records
+            .iter()
+            .map(|r| {
+                let r = r.clone();
+                spawn_write(&engine, move |e| e.insert(&r))
+            })
+            .collect();
+        let deadline = Instant::now() + WATCHDOG;
+        while durability.writers_in_flight(0) < writers as u64 {
+            assert!(Instant::now() < deadline, "writers never went in flight");
+            std::thread::yield_now();
+        }
+        drop(held);
+        for write in pending {
+            await_write(write).unwrap();
+        }
+        assert_eq!(durability.writers_in_flight(0), 0);
         let group_syncs = total_syncs(&engine) - before;
-        assert!(
-            group_syncs < immediate_syncs,
-            "group commit did not reduce fsyncs: {group_syncs} vs {immediate_syncs} (immediate)"
+        assert_eq!(
+            group_syncs, 1,
+            "a batch of {writers} writers must cost one log fsync ({immediate_syncs} under immediate)"
         );
-        engine.close().unwrap();
+        Arc::into_inner(engine).unwrap().close().unwrap();
 
         // Every acknowledged write is durable: the reopened deployment
         // serves all four records, verified.
@@ -1588,6 +1600,100 @@ mod tests {
                 .flat_map(|s| s.records.iter())
                 .any(|enc| Record::decode(enc).unwrap().id == r.id));
         }
+    }
+
+    /// The longest a test waits on a write before failing instead of
+    /// hanging the suite.
+    const WATCHDOG: Duration = Duration::from_secs(30);
+
+    /// Runs `write` on its own thread; [`await_write`] collects its result.
+    fn spawn_write<T: Send + 'static>(
+        engine: &Arc<ShardedSaeEngine>,
+        write: impl FnOnce(&ShardedSaeEngine) -> T + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<T> {
+        let engine = Arc::clone(engine);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = write(&engine);
+            // Release the engine before reporting, so the test holds the
+            // last handle once every write has been awaited.
+            drop(engine);
+            tx.send(result)
+        });
+        rx
+    }
+
+    /// The result of a [`spawn_write`], failing the test if it has not
+    /// arrived within [`WATCHDOG`]: a group-commit leader waiting for a
+    /// writer that never announces would otherwise hang the suite.
+    fn await_write<T>(pending: std::sync::mpsc::Receiver<T>) -> T {
+        pending
+            .recv_timeout(WATCHDOG)
+            .expect("the write neither returned nor failed in time")
+    }
+
+    /// A group-commit engine of one shard whose log never grows past the
+    /// checkpoint threshold, so every commit costs exactly one log fsync.
+    fn group_engine(dir: &Path, ds: &Dataset) -> Arc<ShardedSaeEngine> {
+        let engine = ShardedSaeEngine::create_dir_with(
+            dir,
+            ds,
+            HashAlgorithm::Sha1,
+            1,
+            Some(256),
+            DurabilityPolicy::group(),
+        )
+        .unwrap();
+        engine.set_checkpoint_threshold_bytes(u64::MAX);
+        Arc::new(engine)
+    }
+
+    /// A lone group-policy writer has no batch to wait for: it finds no
+    /// other writer in flight, leads and commits at once, with one log
+    /// fsync.
+    #[test]
+    fn group_policy_commits_a_lone_write_at_once() {
+        let ds = dataset(600);
+        let dir = tempfile::tempdir().unwrap();
+        let engine = group_engine(dir.path(), &ds);
+        for i in 0..3u64 {
+            let before = total_syncs(&engine);
+            let r = Record::with_size(9_800_000 + i, 40_000 + i as RecordKey, 120);
+            await_write(spawn_write(&engine, move |e| e.insert(&r))).unwrap();
+            assert_eq!(total_syncs(&engine) - before, 1);
+        }
+        let before = total_syncs(&engine);
+        assert!(await_write(spawn_write(&engine, |e| e.delete(9_800_000, 40_000))).unwrap());
+        assert_eq!(total_syncs(&engine) - before, 1);
+        let durability = engine.durability.as_ref().unwrap();
+        assert_eq!(durability.writers_in_flight(0), 0);
+    }
+
+    /// Writes that end before announcing a ticket — an insert rejected as a
+    /// duplicate, a delete of an absent record — must still clear their
+    /// in-flight mark, or every later leader of the shard would gather
+    /// forever.
+    #[test]
+    fn rejected_and_absent_writes_release_their_in_flight_mark() {
+        let ds = dataset(600);
+        let dir = tempfile::tempdir().unwrap();
+        let engine = group_engine(dir.path(), &ds);
+        let durability = engine.durability.as_ref().unwrap();
+        let existing = &ds.records[0];
+        let duplicate = Record::with_size(existing.id, existing.key, 120);
+        assert!(matches!(
+            engine.insert(&duplicate),
+            Err(StorageError::DuplicateRecordId(id)) if id == existing.id
+        ));
+        assert_eq!(durability.writers_in_flight(0), 0);
+        assert!(!engine.delete(9_900_000, 1_234).unwrap());
+        assert_eq!(durability.writers_in_flight(0), 0);
+
+        let before = total_syncs(&engine);
+        let fresh = Record::with_size(9_900_001, 777, 120);
+        await_write(spawn_write(&engine, move |e| e.insert(&fresh))).unwrap();
+        assert_eq!(total_syncs(&engine) - before, 1);
+        assert_eq!(durability.writers_in_flight(0), 0);
     }
 
     /// Concurrent group-policy writers plus a flusher hammering

@@ -272,9 +272,11 @@ impl ShardServer {
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the acceptor with a throwaway connection; it re-checks the
-        // flag after every accept.
+        // flag after every accept. An acceptor backing off after accept
+        // errors is parked instead: unpark it.
         drop(TcpStream::connect(self.addr));
         if let Some(acceptor) = self.acceptor.take() {
+            acceptor.thread().unpark();
             drop(acceptor.join());
         }
         // The acceptor is gone, so no new registrations: drain the registry
@@ -295,14 +297,33 @@ impl Drop for ShardServer {
     }
 }
 
+/// How long the acceptor waits before retrying after `failures`
+/// consecutive `accept` errors: 1 ms, doubling per further failure up to
+/// 100 ms. Errors such as EMFILE persist until a descriptor frees up, so
+/// retrying at once would spin a core.
+fn accept_backoff(failures: u32) -> Duration {
+    const FIRST: Duration = Duration::from_millis(1);
+    const MAX: Duration = Duration::from_millis(100);
+    FIRST
+        .saturating_mul(1 << failures.saturating_sub(1).min(7))
+        .min(MAX)
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let mut failures = 0u32;
     loop {
         let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
+            Ok((stream, _)) => {
+                failures = 0;
+                stream
+            }
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                failures = failures.saturating_add(1);
+                // Shutdown unparks this thread, so it never waits this out.
+                std::thread::park_timeout(accept_backoff(failures));
                 continue;
             }
         };
@@ -650,5 +671,63 @@ fn error_message(code: u16, detail: String) -> Message {
         code,
         version: WIRE_VERSION,
         detail,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sae_crypto::HashAlgorithm;
+    use sae_workload::{DatasetSpec, KeyDistribution};
+    use std::time::Instant;
+
+    #[test]
+    fn accept_backoff_doubles_from_one_ms_to_a_100_ms_cap() {
+        let ms = |failures| accept_backoff(failures).as_millis();
+        let schedule: Vec<u128> = (1..=9).map(ms).collect();
+        assert_eq!(schedule, [1, 2, 4, 8, 16, 32, 64, 100, 100]);
+        assert_eq!(ms(u32::MAX), 100);
+    }
+
+    /// A non-blocking listener fails every `accept` with `WouldBlock`, so
+    /// the acceptor sits in its backoff; shutdown must still stop it.
+    #[test]
+    fn shutdown_stops_an_acceptor_in_backoff() {
+        let ds = DatasetSpec {
+            cardinality: 50,
+            distribution: KeyDistribution::Uniform { domain: 1_000 },
+            record_size: 64,
+            seed: 1,
+        }
+        .generate();
+        let engine = ShardedSaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1, 1).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let shared = Arc::new(Shared {
+            source: Arc::new(engine),
+            served: vec![0],
+            cfg: ShardServerConfig::default(),
+            stats: NetStats::default(),
+            shutdown: AtomicBool::new(false),
+            tamper: AtomicU8::new(TAMPER_NONE),
+            gate: Mutex::new(()),
+            conns: Mutex::new(Vec::new()),
+        });
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || accept_loop(&listener, &shared))
+        };
+        // Let the failures climb to the 100 ms cap.
+        std::thread::sleep(Duration::from_millis(300));
+        let asked = Instant::now();
+        shared.shutdown.store(true, Ordering::SeqCst);
+        acceptor.thread().unpark();
+        acceptor.join().unwrap();
+        assert!(
+            asked.elapsed() < Duration::from_secs(5),
+            "the acceptor outlived shutdown by {:?}",
+            asked.elapsed()
+        );
+        assert_eq!(shared.stats.snapshot().connections, 0);
     }
 }
